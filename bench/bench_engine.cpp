@@ -15,6 +15,7 @@
 //                                BENCH_engine.json and report speedups
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -114,6 +115,23 @@ std::unique_ptr<sim::Engine> build_engine(const EngineBenchConfig& c,
       c.injections ? saturating(util::Ratio(1, 2), 8 * U) : nullptr);
 }
 
+/// One timed run of `slots` slots: slots/sec, engine construction
+/// excluded.
+double timed_run(const EngineBenchConfig& c, std::uint64_t slots,
+                 std::uint64_t prune_interval = 0,
+                 std::uint64_t ckpt_interval = 0) {
+  auto engine = build_engine(c, prune_interval, ckpt_interval);
+  sim::StopCondition stop;
+  stop.max_total_slots = slots;
+  const auto t0 = std::chrono::steady_clock::now();
+  engine->run(stop);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double sec =
+      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
+          .count();
+  return static_cast<double>(engine->stats().total_slots) / sec;
+}
+
 /// Run `slot_budget` slots and return slots/sec (one warmup run, then the
 /// best of kBenchReps timed runs — engine construction excluded; see
 /// min_of_n_rate for why best-of-N, not median).
@@ -122,20 +140,9 @@ double slots_per_sec(const EngineBenchConfig& c, std::uint64_t slot_budget,
                      std::uint64_t ckpt_interval = 0) {
   const bool was_enabled = telemetry::enabled();
   telemetry::set_enabled(c.telemetry);
-  const auto timed_run = [&](std::uint64_t slots) {
-    auto engine = build_engine(c, prune_interval, ckpt_interval);
-    sim::StopCondition stop;
-    stop.max_total_slots = slots;
-    const auto t0 = std::chrono::steady_clock::now();
-    engine->run(stop);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double sec =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    return static_cast<double>(engine->stats().total_slots) / sec;
-  };
-  timed_run(slot_budget / 8);  // warmup
-  const double rate = min_of_n_rate([&] { return timed_run(slot_budget); });
+  timed_run(c, slot_budget / 8, prune_interval, ckpt_interval);  // warmup
+  const double rate = min_of_n_rate(
+      [&] { return timed_run(c, slot_budget, prune_interval, ckpt_interval); });
   telemetry::set_enabled(was_enabled);
   return rate;
 }
@@ -351,18 +358,36 @@ void write_trajectory(bool quick) {
   out << "  ],\n  \"prune_interval_sweep\": [\n";
   // Justify EngineConfig::prune_interval's default: sweep the cadence on
   // the acceptance config (n=64 async) with injections (the prune actually
-  // has work to do only when transmissions fill the window).
+  // has work to do only when transmissions fill the window). The points
+  // differ by a few percent at most, less than one run's noise, so each
+  // is timed kSweepRounds times, round-robin across the intervals (a slow
+  // phase of the host then hits every interval alike), and recorded as
+  // best ("slots_per_sec") / median / worst.
   {
+    constexpr int kSweepRounds = 7;
     EngineBenchConfig c{config_name(64, 4, true, false), 64, 4, true, false};
     const std::uint64_t intervals[] = {256, 1024, 4096, 16384, 65536};
     const std::size_t count = sizeof(intervals) / sizeof(intervals[0]);
+    std::vector<std::vector<double>> rates(count);
+    for (std::size_t i = 0; i < count; ++i)
+      timed_run(c, budget / 8, intervals[i]);  // warmup
+    for (int round = 0; round < kSweepRounds; ++round)
+      for (std::size_t i = 0; i < count; ++i)
+        rates[i].push_back(timed_run(c, budget, intervals[i]));
     for (std::size_t i = 0; i < count; ++i) {
-      const double sps = slots_per_sec(c, budget, intervals[i]);
+      std::vector<double>& r = rates[i];
+      std::sort(r.begin(), r.end());
       out << "    {\"prune_interval\": " << intervals[i]
-          << ", \"slots_per_sec\": " << sps << "}"
+          << ", \"slots_per_sec\": " << r.back()
+          << ", \"median_slots_per_sec\": " << r[r.size() / 2]
+          << ", \"worst_slots_per_sec\": " << r.front()
+          << ", \"rounds\": " << kSweepRounds << "}"
           << (i + 1 < count ? "," : "") << "\n";
-      std::cout << "  prune_interval " << intervals[i] << ": "
-                << static_cast<std::uint64_t>(sps) << " slots/sec\n";
+      std::cout << "  prune_interval " << intervals[i] << ": best "
+                << static_cast<std::uint64_t>(r.back()) << " / median "
+                << static_cast<std::uint64_t>(r[r.size() / 2]) << " / worst "
+                << static_cast<std::uint64_t>(r.front()) << " slots/sec ("
+                << kSweepRounds << " rounds)\n";
     }
   }
   out << "  ],\n  \"checkpoint_overhead\": [\n";

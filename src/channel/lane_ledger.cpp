@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "channel/window_seek.h"
 #include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
@@ -55,7 +56,7 @@ void LaneLedger::Window::push(const Transmission& t) {
 
 void LaneLedger::Window::compact() {
   // Amortized O(1): only when the dead prefix dominates the live tail.
-  if (head < 64 || head < size() - head) return;
+  if (!window_compaction_due(head, size())) return;
   const auto h = static_cast<std::ptrdiff_t>(head);
   begin.erase(begin.begin(), begin.begin() + h);
   end.erase(end.begin(), end.begin() + h);
@@ -172,10 +173,8 @@ bool LaneLedger::overlaps_other(const Window& w, Tick max_dur,
   const Tick e = w.end[i];
   const StationId st = w.station[i];
   // w.begin[head..size) is sorted; seek as the scalar overlaps_other does.
-  const std::size_t lo = static_cast<std::size_t>(
-      std::lower_bound(w.begin.begin() + static_cast<std::ptrdiff_t>(w.head),
-                       w.begin.end(), b) -
-      w.begin.begin());
+  const std::size_t lo = seek_begin_at_or_after(
+      w.head, w.size(), b, [&](std::size_t j) { return w.begin[j]; });
   for (std::size_t j = lo; j > w.head;) {
     --j;
     if (w.begin[j] + max_dur <= b) break;
@@ -226,14 +225,11 @@ Feedback LaneLedger::feedback_slow(std::uint32_t lane, Tick s, Tick t) {
   ++pend_memo_misses_[lane];
   finalize_until(lane, t);
   Window& w = win_[lane];
-  // Seek the first entry that can reach the slot (begin > s - max_dur);
-  // the scalar's lower_bound with an a.begin <= b comparator is an
-  // upper_bound over the flat begin array.
+  // Seek the first entry that can reach the slot (begin > s - max_dur),
+  // the scalar feedback_slow's seek over the flat begin array.
   const Tick lo_begin = s - max_duration_[lane];
-  std::size_t i = static_cast<std::size_t>(
-      std::upper_bound(w.begin.begin() + static_cast<std::ptrdiff_t>(w.head),
-                       w.begin.end(), lo_begin) -
-      w.begin.begin());
+  std::size_t i = seek_begin_after(
+      w.head, w.size(), lo_begin, [&](std::size_t j) { return w.begin[j]; });
   bool any_overlap = false;
   std::uint64_t scanned = 0;
   const auto record = [&](Feedback fb) {

@@ -5,7 +5,7 @@
 // latest-end watermarks, repeat-query memos, pending telemetry deltas —
 // lives in contiguous per-lane arrays, and whose transmission windows are
 // stored field-split (begins, ends, decided flags, ... each in its own
-// flat array per lane) instead of as deques of Transmission structs.
+// flat array per lane) instead of as arrays of Transmission structs.
 //
 // Why it exists: a lockstep cohort asks the *same* feedback question
 // [s, t) of every lane at every slot-end event. With K scalar Ledger

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "channel/window_seek.h"
 #include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
@@ -81,7 +82,8 @@ void Ledger::add(Transmission t) {
   if (t.begin < memo_t_ || max_duration_ != prev_max_duration)
     memo_valid_ = false;
   ++pending_adds_;
-  if (window_.size() > window_peak_local_) window_peak_local_ = window_.size();
+  const std::size_t live = window_.size() - head_;
+  if (live > window_peak_local_) window_peak_local_ = live;
 }
 
 Admission Ledger::admit(Tick begin, Tick end) {
@@ -107,29 +109,32 @@ Admission Ledger::admit(Tick begin, Tick end) {
 }
 
 bool Ledger::overlaps_other(const Transmission& t) const {
-  // window_ is sorted by begin. Only a bounded neighborhood can overlap t:
-  // predecessors whose begin is within max_duration_ of t.begin, and
+  // The window is sorted by begin. Only a bounded neighborhood can overlap
+  // t: predecessors whose begin is within max_duration_ of t.begin, and
   // successors whose begin precedes t.end.
-  auto lo = std::lower_bound(
-      window_.begin(), window_.end(), t.begin,
-      [](const Transmission& a, Tick b) { return a.begin < b; });
-  for (auto it = lo; it != window_.begin();) {
-    --it;
-    if (it->begin + max_duration_ <= t.begin) break;
-    if (static_cast<Admission>(it->admission) == Admission::kRejected)
+  const std::size_t lo = seek_begin_at_or_after(
+      head_, window_.size(), t.begin,
+      [&](std::size_t i) { return window_[i].begin; });
+  for (std::size_t i = lo; i > head_;) {
+    const Transmission& other = window_[--i];
+    if (other.begin + max_duration_ <= t.begin) break;
+    if (static_cast<Admission>(other.admission) == Admission::kRejected)
       continue;  // never reached the medium
-    if (it->end > t.begin &&
-        !(it->station == t.station && it->begin == t.begin &&
-          it->end == t.end))
+    if (other.end > t.begin &&
+        !(other.station == t.station && other.begin == t.begin &&
+          other.end == t.end))
       return true;
   }
-  for (auto it = lo; it != window_.end(); ++it) {
-    if (it->begin >= t.end) break;
-    if (static_cast<Admission>(it->admission) == Admission::kRejected)
+  for (std::size_t i = lo; i < window_.size(); ++i) {
+    const Transmission& other = window_[i];
+    if (other.begin >= t.end) break;
+    if (static_cast<Admission>(other.admission) == Admission::kRejected)
       continue;  // never reached the medium
-    if (it->station == t.station && it->begin == t.begin && it->end == t.end)
+    if (other.station == t.station && other.begin == t.begin &&
+        other.end == t.end)
       continue;  // t itself
-    if (intervals_overlap(it->begin, it->end, t.begin, t.end)) return true;
+    if (intervals_overlap(other.begin, other.end, t.begin, t.end))
+      return true;
   }
   return false;
 }
@@ -168,13 +173,12 @@ Feedback Ledger::feedback_slow(Tick s, Tick t) {
   // Only a bounded neighborhood of the slot can matter: an entry with
   // begin <= s - max_duration_ has end <= s, so it neither overlaps [s, t)
   // nor ends inside (s, t]. The window is begin-sorted, so seek the first
-  // entry that can reach the slot (the same trick overlaps_other uses)
-  // instead of scanning from the front — O(log W + neighborhood) per slot
-  // instead of O(W).
+  // entry that can reach the slot from the tail (channel/window_seek.h,
+  // the same seek overlaps_other uses) instead of scanning from the front.
   const Tick lo_begin = s - max_duration_;
-  auto it = std::lower_bound(
-      window_.begin(), window_.end(), lo_begin,
-      [](const Transmission& a, Tick b) { return a.begin <= b; });
+  std::size_t i = seek_begin_after(
+      head_, window_.size(), lo_begin,
+      [&](std::size_t j) { return window_[j].begin; });
   bool any_overlap = false;
   std::uint64_t scanned = 0;
   auto record = [&](Feedback fb) {
@@ -187,8 +191,8 @@ Feedback Ledger::feedback_slow(Tick s, Tick t) {
     return fb;
   };
   // Scan the neighborhood: begins in (s - max_duration_, t).
-  for (; it != window_.end(); ++it) {
-    const Transmission& tx = *it;
+  for (; i < window_.size(); ++i) {
+    const Transmission& tx = window_[i];
     if (tx.begin >= t) break;
     ++scanned;
     // Rejected transmissions are invisible to feedback: counted in the
@@ -207,18 +211,25 @@ Feedback Ledger::feedback_slow(Tick s, Tick t) {
 void Ledger::prune_before(Tick horizon) {
   finalize_until(horizon);
   memo_valid_ = false;
-  std::uint64_t removed = 0;
-  while (!window_.empty() && window_.front().decided &&
-         window_.front().end <= horizon) {
-    if (keep_history_) history_.push_back(window_.front());
-    window_.pop_front();
-    AM_CHECK(finalized_ > 0);
-    --finalized_;
-    ++removed;
+  const std::size_t first = head_;
+  while (head_ < window_.size() && window_[head_].decided &&
+         window_[head_].end <= horizon) {
+    AM_CHECK(finalized_ > head_);
+    ++head_;
   }
+  const auto pruned_end = window_.begin() + static_cast<std::ptrdiff_t>(head_);
+  if (keep_history_)
+    history_.insert(history_.end(),
+                    window_.begin() + static_cast<std::ptrdiff_t>(first),
+                    pruned_end);
   ++pending_prunes_;
-  pending_pruned_entries_ += removed;
+  pending_pruned_entries_ += head_ - first;
   flush_telemetry();
+  if (window_compaction_due(head_, window_.size())) {
+    window_.erase(window_.begin(), pruned_end);
+    finalized_ -= head_;
+    head_ = 0;
+  }
 }
 
 void Ledger::flush_telemetry() {
@@ -274,9 +285,9 @@ void Ledger::save_state(snapshot::Writer& w) const {
   w.boolean(keep_history_);
   w.u32(restrained_.k);
   w.boolean(restrained_.jam);
-  w.u64(window_.size());
-  for (const Transmission& t : window_) save_transmission(w, t);
-  w.u64(finalized_);
+  w.u64(window_.size() - head_);
+  for (const Transmission& t : window()) save_transmission(w, t);
+  w.u64(finalized_ - head_);
   w.u64(history_.size());
   for (const Transmission& t : history_) save_transmission(w, t);
   w.u64(stats_.transmissions);
@@ -320,6 +331,7 @@ void Ledger::load_state(snapshot::Reader& r) {
         "ledger restrained-channel spec differs from the snapshot's");
   const std::uint64_t window_count = r.u64();
   window_.clear();
+  head_ = 0;
   for (std::uint64_t i = 0; i < window_count; ++i)
     window_.push_back(load_transmission(r));
   finalized_ = static_cast<std::size_t>(r.u64());
@@ -366,14 +378,15 @@ void Ledger::load_state(snapshot::Reader& r) {
 }
 
 bool Ledger::transmission_successful(StationId station, Tick end) const {
-  for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
-    if (it->station == station && it->end == end) {
-      AM_CHECK(it->decided);
-      return it->successful;
+  for (std::size_t i = window_.size(); i-- > head_;) {
+    const Transmission& t = window_[i];
+    if (t.station == station && t.end == end) {
+      AM_CHECK(t.decided);
+      return t.successful;
     }
     // Sorted by begin: once begins are so old they cannot reach `end`,
     // no earlier entry can have this end time.
-    if (it->begin + max_duration_ < end) break;
+    if (t.begin + max_duration_ < end) break;
   }
   AM_CHECK_MSG(false, "no transmission of station " << station
                                                     << " ending at " << end);

@@ -26,7 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "channel/transmission.h"
@@ -84,11 +84,13 @@ class Ledger {
   /// rule yield ack exactly when that transmission succeeded and busy
   /// when it collided. Requires t <= the latest safe query time (all
   /// transmissions beginning before t already added). Cost is
-  /// O(log W + neighborhood), not O(W): the begin-sorted window is seeked
-  /// with lower_bound to the first entry that can reach the slot. Two O(1)
-  /// silence fast paths skip the seek entirely: an empty window, and a
-  /// slot starting at or after latest_end() (every registered interval is
-  /// already over, so nothing can overlap [s, t) or ack-end inside it).
+  /// O(log d + neighborhood), not O(W): the begin-sorted window is seeked
+  /// from its tail (channel/window_seek.h) to the first entry that can
+  /// reach the slot, d entries back — a handful for the engine's
+  /// near-"now" queries, at most 2*ceil(log2 W) + 1 probes anywhere. Two
+  /// O(1) silence fast paths skip the seek entirely: an empty window, and
+  /// a slot starting at or after latest_end() (every registered interval
+  /// is already over, so nothing can overlap [s, t) or ack-end inside it).
   /// Defined inline so the engines' per-event loops (scalar Engine and the
   /// CohortEngine lane loop, which calls it once per lane per event)
   /// resolve the fast paths without a cross-TU call; only the
@@ -101,7 +103,7 @@ class Ledger {
     // none overlaps [s, t) or ends inside (s, t] — but undecided entries
     // must still be finalized so LedgerStats stay current for adaptive
     // adversaries reading channel_stats() mid-run.
-    if (window_.empty()) {
+    if (head_ == window_.size()) {
       ++pending_fast_silence_;
       return Feedback::kSilence;
     }
@@ -152,8 +154,11 @@ class Ledger {
   /// The restrained-channel configuration this ledger was built with.
   const RestrainedSpec& restrained() const noexcept { return restrained_; }
 
-  /// Live window (unpruned), ordered by begin.
-  const std::deque<Transmission>& window() const noexcept { return window_; }
+  /// Live window (unpruned), ordered by begin. Valid until the next add,
+  /// prune_before or load_state.
+  std::span<const Transmission> window() const noexcept {
+    return {window_.data() + head_, window_.size() - head_};
+  }
 
   /// All finalized transmissions ever (empty unless keep_history).
   const std::vector<Transmission>& full_history() const noexcept {
@@ -186,8 +191,12 @@ class Ledger {
   /// transmission reaches the medium. Returns the admission verdict.
   Admission admit(Tick begin, Tick end);
 
-  std::deque<Transmission> window_;
-  std::size_t finalized_ = 0;  ///< window_[0..finalized_) have final flags
+  /// Contiguous window: live entries occupy window_[head_, size()).
+  /// prune_before advances head_ and compacts once the dead prefix
+  /// dominates (window_compaction_due), so the buffer is reused in place.
+  std::vector<Transmission> window_;
+  std::size_t head_ = 0;
+  std::size_t finalized_ = 0;  ///< absolute: [head_, finalized_) decided
   RestrainedSpec restrained_;
   /// Min-heap of non-rejected transmission ends (restrained mode only).
   /// Ends <= the current add's begin are popped lazily; the remainder is

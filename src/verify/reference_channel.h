@@ -4,7 +4,7 @@
 // used as a differential oracle against the optimized channel::Ledger.
 // Success of a transmission is decided by scanning every other
 // transmission for overlap; slot feedback by scanning every transmission.
-// There is no windowing, no lower_bound seek, no pruning and no lazy
+// There is no windowing, no window seek, no pruning and no lazy
 // finalization — exactly the machinery the Ledger optimizes, so any
 // disagreement between the two convicts the optimization (or the model).
 // Correctness of this class is meant to be evident by inspection.
