@@ -3,13 +3,10 @@
 #include <filesystem>
 #include <memory>
 
-#include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
-#include "analysis/registry.h"
-#include "channel/transmission.h"
 #include "energy/meter.h"
 #include "sim/cohort_engine.h"
 #include "sim/engine.h"
+#include "snapshot/checkpoint.h"
 #include "snapshot/format.h"
 #include "util/check.h"
 
@@ -17,63 +14,18 @@ namespace asyncmac::analysis {
 
 namespace {
 
-/// The lane-invariant parameters of one work unit's cells, with the
-/// registry lookup hoisted: every cell of a unit shares protocol, n, R
-/// and policy, while seed AND the injector parameters (rho) may vary per
-/// lane — injectors are free under cohort eligibility, so a whole grid
-/// row of injector cells batches as one lockstep cohort.
-struct CellSetup {
-  ProtocolMaker maker;
-  std::string protocol;
-  std::uint32_t n;
-  std::uint32_t bound_r;
-  std::string policy;
-  Tick burst_units;
-  channel::RestrainedSpec restrained;
-  energy::EnergyModel energy;
-
-  CellSetup(const ExperimentSpec& spec, const std::string& protocol_name,
-            std::uint32_t n_, std::uint32_t r_, const std::string& policy_)
-      : maker(protocol_maker(protocol_name)),
-        protocol(protocol_name),
-        n(n_),
-        bound_r(r_),
-        policy(policy_),
-        burst_units(spec.burst_units),
-        restrained{spec.restrained_k, spec.restrained_jam},
-        energy{spec.energy_enabled, spec.energy_cost_transmit,
-               spec.energy_cost_listen, spec.energy_cost_sleep} {}
-
-  /// Engine materials for one (seed, rho) cell of this unit.
-  sim::LaneMaterials materials(std::uint64_t seed, int rho_pct) const {
-    sim::LaneMaterials m;
-    m.cfg.n = n;
-    m.cfg.bound_r = bound_r;
-    m.cfg.seed = seed;
-    m.cfg.restrained = restrained;
-    m.cfg.energy = energy;
-    m.protocols.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) m.protocols.push_back(maker());
-    m.slot_policy = adversary::make_slot_policy(policy, n, bound_r, seed);
-    m.injection = std::make_unique<adversary::SaturatingInjector>(
-        util::Ratio(rho_pct, 100), burst_units * kTicksPerUnit,
-        adversary::TargetPattern::kRoundRobin, 1, seed + 1);
-    return m;
-  }
-};
-
-ExperimentRecord extract_record(const CellSetup& setup, int rho_pct,
-                                std::uint64_t seed,
+ExperimentRecord extract_record(const ExperimentSpec& spec,
+                                const GridCell& cell,
                                 const metrics::RunStats& s,
                                 const channel::LedgerStats& ch,
                                 const energy::EnergyMeter& meter) {
   ExperimentRecord rec;
-  rec.protocol = setup.protocol;
-  rec.n = setup.n;
-  rec.bound_r = setup.bound_r;
-  rec.rho_pct = rho_pct;
-  rec.slot_policy = setup.policy;
-  rec.seed = seed;
+  rec.protocol = cell.protocol;
+  rec.n = cell.n;
+  rec.bound_r = cell.bound_r;
+  rec.rho_pct = cell.rho_pct;
+  rec.slot_policy = cell.slot_policy;
+  rec.seed = cell.seed;
   rec.injected = s.injected_packets;
   rec.delivered = s.delivered_packets;
   rec.queued = s.queued_packets;
@@ -87,15 +39,38 @@ ExperimentRecord extract_record(const CellSetup& setup, int rho_pct,
                          : 1.0;
   rec.p99_latency_units =
       s.latency.empty() ? 0.0 : to_units(s.latency.quantile(0.99));
-  if (setup.energy.enabled) {
-    rec.energy_total = meter.total_charge(setup.energy);
-    rec.energy_peak_station = meter.peak_station_charge(setup.energy);
+  if (spec.energy.enabled) {
+    rec.energy_total = meter.total_charge(spec.energy);
+    rec.energy_peak_station = meter.peak_station_charge(spec.energy);
     rec.energy_per_delivery =
         s.delivered_packets ? static_cast<double>(rec.energy_total) /
                                   static_cast<double>(s.delivered_packets)
                             : 0.0;
   }
   return rec;
+}
+
+/// The run one cell denotes: the cell's protocol, n, R, policy and seed,
+/// a round-robin saturating injector at rho_pct/100 with the spec's burst
+/// (seeded cell.seed + 1), and the spec's channel variant. Every cell
+/// engine — scalar or cohort lane — is built from it.
+snapshot::RunSpec cell_run_spec(const ExperimentSpec& spec,
+                                const GridCell& cell) {
+  snapshot::RunSpec rs;
+  rs.protocol = cell.protocol;
+  rs.n = cell.n;
+  rs.bound_r = cell.bound_r;
+  rs.slot_policy = cell.slot_policy;
+  rs.injector.kind = "saturating";
+  rs.injector.pattern = "roundrobin";
+  rs.injector.rho = util::Ratio(cell.rho_pct, 100);
+  rs.injector.burst_ticks = spec.burst_units * kTicksPerUnit;
+  rs.injector.seed = cell.seed + 1;
+  rs.seed = cell.seed;
+  rs.horizon_units = spec.horizon_units;
+  rs.restrained = spec.restrained;
+  rs.energy = spec.energy;
+  return rs;
 }
 
 /// Cells per contiguous chunkable block. Seed replicas of one base cell
@@ -160,12 +135,7 @@ std::uint32_t grid_fingerprint(const ExperimentSpec& spec) {
   w.i64(spec.horizon_units);
   w.u64(spec.seed);
   w.i64(spec.seeds);
-  w.u32(spec.restrained_k);
-  w.boolean(spec.restrained_jam);
-  w.boolean(spec.energy_enabled);
-  w.u64(spec.energy_cost_transmit);
-  w.u64(spec.energy_cost_listen);
-  w.u64(spec.energy_cost_sleep);
+  snapshot::save_channel_variant(w, spec.restrained, spec.energy);
   return snapshot::crc32(w.buffer().data(), w.buffer().size());
 }
 
@@ -227,35 +197,28 @@ std::vector<ExperimentRecord> run_grid_cells(
                    c.bound_r == c0.bound_r && c.slot_policy == c0.slot_policy,
                "cells of one work unit must share protocol, n, R and policy");
   }
-  const auto setup = std::make_shared<const CellSetup>(
-      spec, c0.protocol, c0.n, c0.bound_r, c0.slot_policy);
-
+  const sim::StopCondition stop = sim::until(spec.horizon_units * kTicksPerUnit);
   std::vector<ExperimentRecord> out;
   out.reserve(todo.size());
   if (todo.size() == 1) {
-    sim::LaneMaterials m = setup->materials(c0.seed, c0.rho_pct);
-    sim::Engine engine(std::move(m.cfg), std::move(m.protocols),
-                       std::move(m.slot_policy), std::move(m.injection));
-    engine.run(sim::until(spec.horizon_units * kTicksPerUnit));
-    out.push_back(extract_record(*setup, c0.rho_pct, c0.seed, engine.stats(),
-                                 engine.channel_stats(),
-                                 engine.energy_meter()));
+    const auto engine = snapshot::build_engine(cell_run_spec(spec, c0));
+    engine->run(stop);
+    out.push_back(extract_record(spec, c0, engine->stats(),
+                                 engine->channel_stats(),
+                                 engine->energy_meter()));
   } else {
     std::vector<sim::LaneBuilder> builders;
     builders.reserve(todo.size());
     for (std::size_t i : todo)
-      builders.push_back(
-          [setup, seed = plan.cells[i].seed, rho = plan.cells[i].rho_pct] {
-            return setup->materials(seed, rho);
-          });
+      builders.push_back([rs = cell_run_spec(spec, plan.cells[i])] {
+        return snapshot::build_materials(rs);
+      });
     sim::CohortEngine cohort(std::move(builders));
-    cohort.run(sim::until(spec.horizon_units * kTicksPerUnit));
-    for (std::size_t k = 0; k < todo.size(); ++k) {
-      const GridCell& c = plan.cells[todo[k]];
-      out.push_back(extract_record(*setup, c.rho_pct, c.seed, cohort.stats(k),
+    cohort.run(stop);
+    for (std::size_t k = 0; k < todo.size(); ++k)
+      out.push_back(extract_record(spec, plan.cells[todo[k]], cohort.stats(k),
                                    cohort.channel_stats(k),
                                    cohort.energy_meter(k)));
-    }
   }
   return out;
 }

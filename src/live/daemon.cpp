@@ -41,7 +41,7 @@ Daemon::Daemon(DaemonConfig cfg)
       n_(cfg_.spec.n),
       horizon_ticks_(cfg_.spec.horizon_units * kTicksPerUnit),
       max_slot_ticks_(static_cast<Tick>(cfg_.spec.bound_r) * kTicksPerUnit),
-      channel_(cfg_.spec.restrained()),
+      channel_(cfg_.spec.restrained),
       metrics_(cfg_.spec.n),
       meter_(cfg_.spec.n) {
   AM_REQUIRE(n_ >= 1, "need at least one station");
@@ -248,7 +248,7 @@ void Daemon::settle_slot(Tick t, StationId id, DaemonActions& out) {
                          st.slot_close_end - st.slot_begin, t);
   }
   metrics_.on_slot_end(id, st.action);
-  if (cfg_.spec.energy_enabled) {
+  if (cfg_.spec.energy.enabled) {
     // Post-delivery mirror queue state — the engines' exact billing rule.
     if (is_transmit(st.action))
       meter_.add_transmit(id);

@@ -120,7 +120,7 @@ class Daemon : public sim::EngineView {
     return channel_.stats();
   }
   const trace::Recorder& trace() const noexcept { return trace_; }
-  /// Per-station energy slot counts (all-zero unless spec.energy_enabled).
+  /// Per-station energy slot counts (all-zero unless spec.energy.enabled).
   const energy::EnergyMeter& energy_meter() const noexcept { return meter_; }
   const std::vector<Tick>& backlog_samples() const noexcept { return samples_; }
   /// Valid once done(): the same verdict probe_stability would emit for

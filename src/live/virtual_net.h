@@ -113,7 +113,7 @@ struct VirtualRunReport {
   std::string reason;
   metrics::RunStats stats;
   channel::LedgerStats channel;
-  energy::EnergyMeter energy;  ///< all-zero unless spec.energy_enabled
+  energy::EnergyMeter energy;  ///< all-zero unless spec.energy.enabled
   std::vector<trace::SlotRecord> trace;
   std::vector<Tick> samples;
   analysis::Verdict verdict = analysis::Verdict::kStable;

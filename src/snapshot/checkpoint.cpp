@@ -10,6 +10,8 @@
 
 namespace asyncmac::snapshot {
 
+namespace {
+
 void save_injector_spec(Writer& w, const adversary::InjectorSpec& spec) {
   w.str(spec.kind);
   w.i64(spec.rho.num);
@@ -41,6 +43,28 @@ adversary::InjectorSpec load_injector_spec(Reader& r) {
   return spec;
 }
 
+}  // namespace
+
+void save_channel_variant(Writer& w, const channel::RestrainedSpec& restrained,
+                          const energy::EnergyModel& energy) {
+  w.u32(restrained.k);
+  w.boolean(restrained.jam);
+  w.boolean(energy.enabled);
+  w.u64(energy.cost_transmit);
+  w.u64(energy.cost_listen);
+  w.u64(energy.cost_sleep);
+}
+
+void load_channel_variant(Reader& r, channel::RestrainedSpec& restrained,
+                          energy::EnergyModel& energy) {
+  restrained.k = r.u32();
+  restrained.jam = r.boolean();
+  energy.enabled = r.boolean();
+  energy.cost_transmit = r.u64();
+  energy.cost_listen = r.u64();
+  energy.cost_sleep = r.u64();
+}
+
 void save_run_spec(Writer& w, const RunSpec& spec) {
   w.str(spec.protocol);
   w.u32(spec.n);
@@ -56,12 +80,7 @@ void save_run_spec(Writer& w, const RunSpec& spec) {
   w.boolean(spec.allow_control);
   w.u64(spec.prune_interval);
   w.u64(spec.checkpoint_interval);
-  w.u32(spec.restrained_k);
-  w.boolean(spec.restrained_jam);
-  w.boolean(spec.energy_enabled);
-  w.u64(spec.energy_cost_transmit);
-  w.u64(spec.energy_cost_listen);
-  w.u64(spec.energy_cost_sleep);
+  save_channel_variant(w, spec.restrained, spec.energy);
 }
 
 RunSpec load_run_spec(Reader& r) {
@@ -80,36 +99,38 @@ RunSpec load_run_spec(Reader& r) {
   spec.allow_control = r.boolean();
   spec.prune_interval = r.u64();
   spec.checkpoint_interval = r.u64();
-  spec.restrained_k = r.u32();
-  spec.restrained_jam = r.boolean();
-  spec.energy_enabled = r.boolean();
-  spec.energy_cost_transmit = r.u64();
-  spec.energy_cost_listen = r.u64();
-  spec.energy_cost_sleep = r.u64();
+  load_channel_variant(r, spec.restrained, spec.energy);
   if (spec.n < 1 || spec.bound_r < 1 || spec.prune_interval < 1)
     throw SnapshotError(ErrorKind::kCorrupt,
                         "run spec violates engine invariants");
   return spec;
 }
 
+sim::LaneMaterials build_materials(const RunSpec& spec) {
+  sim::LaneMaterials m;
+  m.cfg.n = spec.n;
+  m.cfg.bound_r = spec.bound_r;
+  m.cfg.seed = spec.seed;
+  m.cfg.keep_channel_history = spec.keep_channel_history;
+  m.cfg.record_trace = spec.record_trace;
+  m.cfg.record_deliveries = spec.record_deliveries;
+  m.cfg.allow_control = spec.allow_control;
+  m.cfg.prune_interval = spec.prune_interval;
+  m.cfg.checkpoint_interval = spec.checkpoint_interval;
+  m.cfg.restrained = spec.restrained;
+  m.cfg.energy = spec.energy;
+  m.protocols = analysis::make_protocols(spec.protocol, spec.n);
+  m.slot_policy = adversary::make_slot_policy(spec.slot_policy, spec.n,
+                                              spec.bound_r, spec.seed);
+  if (spec.has_injector) m.injection = adversary::make_injector(spec.injector);
+  return m;
+}
+
 std::unique_ptr<sim::Engine> build_engine(const RunSpec& spec) {
-  sim::EngineConfig cfg;
-  cfg.n = spec.n;
-  cfg.bound_r = spec.bound_r;
-  cfg.seed = spec.seed;
-  cfg.keep_channel_history = spec.keep_channel_history;
-  cfg.record_trace = spec.record_trace;
-  cfg.record_deliveries = spec.record_deliveries;
-  cfg.allow_control = spec.allow_control;
-  cfg.prune_interval = spec.prune_interval;
-  cfg.checkpoint_interval = spec.checkpoint_interval;
-  cfg.restrained = spec.restrained();
-  cfg.energy = spec.energy();
-  return std::make_unique<sim::Engine>(
-      cfg, analysis::make_protocols(spec.protocol, spec.n),
-      adversary::make_slot_policy(spec.slot_policy, spec.n, spec.bound_r,
-                                  spec.seed),
-      spec.has_injector ? adversary::make_injector(spec.injector) : nullptr);
+  sim::LaneMaterials m = build_materials(spec);
+  return std::make_unique<sim::Engine>(std::move(m.cfg), std::move(m.protocols),
+                                       std::move(m.slot_policy),
+                                       std::move(m.injection));
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec,

@@ -4,12 +4,14 @@
 //
 // A checkpoint file (FileKind::kEngineRun) carries two sections:
 //   1. a RunSpec — the declarative configuration of the run (protocol
-//      registry name, topology, adversaries, seed, recording flags), and
+//      registry name, topology, adversaries, channel variant, seed,
+//      recording flags), and
 //   2. the Engine's serialized mutable state (sim::Engine::save_state).
-// Resume rebuilds the engine from the RunSpec via the same factories the
-// CLI and experiment grids use, then overwrites its mutable state; from
-// that point the run continues bit-for-bit as the saved run would have
-// (the determinism contract pinned by tests/test_checkpoint_engine.cpp).
+// Resume rebuilds the engine from the RunSpec through build_engine — the
+// one assembly path every run mode, grid cell and fuzz scenario uses —
+// then overwrites its mutable state; from that point the run continues
+// bit-for-bit as the saved run would have (the determinism contract
+// pinned by tests/test_checkpoint_engine.cpp).
 //
 // The AutoSaver is the standard EngineConfig::checkpoint_sink: it writes
 // rotating, atomically-renamed snapshot files into a directory with
@@ -22,6 +24,9 @@
 #include <vector>
 
 #include "adversary/injectors.h"
+#include "channel/transmission.h"
+#include "energy/model.h"
+#include "sim/cohort_engine.h"
 #include "sim/engine.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
@@ -30,7 +35,9 @@
 namespace asyncmac::snapshot {
 
 /// Declarative description of an engine run — everything needed to
-/// reconstruct an identical Engine before loading a snapshot into it.
+/// reconstruct an identical Engine before loading a snapshot into it. The
+/// single run description: verify::Scenario derives from it, grid cells
+/// map onto it, and the CLI's run modes fill one in.
 struct RunSpec {
   std::string protocol = "ao-arrow";  ///< analysis registry name
   std::uint32_t n = 4;
@@ -46,40 +53,35 @@ struct RunSpec {
   bool allow_control = true;
   std::uint64_t prune_interval = 4096;
   std::uint64_t checkpoint_interval = 0;
-  /// k-restrained channel admission cap (0 = unrestrained) and overflow
-  /// mode — see channel::RestrainedSpec.
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
+  /// k-restrained channel admission (k = 0: unrestrained).
+  channel::RestrainedSpec restrained;
   /// Per-station energy accounting model (energy/model.h).
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
-
-  channel::RestrainedSpec restrained() const {
-    return {restrained_k, restrained_jam};
-  }
-  energy::EnergyModel energy() const {
-    return {energy_enabled, energy_cost_transmit, energy_cost_listen,
-            energy_cost_sleep};
-  }
+  energy::EnergyModel energy;
 
   bool operator==(const RunSpec&) const = default;
 };
 
-/// InjectorSpec payload serialization (shared with verify's campaign
-/// cursor, which embeds scenarios the same way).
-void save_injector_spec(Writer& w, const adversary::InjectorSpec& spec);
-adversary::InjectorSpec load_injector_spec(Reader& r);
+/// The channel-variant pair's payload encoding (k, jam, then the energy
+/// model), shared by the RunSpec codec, the sweep wire's grid spec and
+/// analysis::grid_fingerprint.
+void save_channel_variant(Writer& w, const channel::RestrainedSpec& restrained,
+                          const energy::EnergyModel& energy);
+void load_channel_variant(Reader& r, channel::RestrainedSpec& restrained,
+                          energy::EnergyModel& energy);
 
 void save_run_spec(Writer& w, const RunSpec& spec);
 RunSpec load_run_spec(Reader& r);
 
-/// Build a fresh engine from the spec through the shared factories
-/// (analysis::make_protocols, adversary::make_slot_policy/make_injector).
-/// The checkpoint_sink is left unset — install one after construction if
-/// the resumed run should keep autosaving. Throws std::invalid_argument
-/// on unknown protocol / policy / injector names.
+/// The engine materials a spec describes: configuration, protocol
+/// instances (analysis registry), slot policy and injector
+/// (adversary::make_slot_policy/make_injector). The one place a run is
+/// assembled — build_engine consumes one build, and cohort callers use it
+/// as a sim::LaneBuilder. The checkpoint_sink is left unset. Throws
+/// std::invalid_argument on unknown protocol / policy / injector names.
+sim::LaneMaterials build_materials(const RunSpec& spec);
+
+/// Build a fresh engine from the spec (see build_materials). Install a
+/// checkpoint_sink after construction if the run should autosave.
 std::unique_ptr<sim::Engine> build_engine(const RunSpec& spec);
 
 /// Serialize spec + engine state into a kEngineRun payload (unframed).

@@ -1,6 +1,9 @@
 #include "sweep/protocol.h"
 
+#include <climits>
+
 #include "analysis/grid.h"
+#include "snapshot/checkpoint.h"
 #include "util/check.h"
 
 namespace asyncmac::sweep {
@@ -61,12 +64,17 @@ void save_grid_spec(Writer& w, const analysis::ExperimentSpec& spec) {
   w.i64(spec.horizon_units);
   w.u64(spec.seed);
   w.i64(spec.seeds);
-  w.u32(spec.restrained_k);
-  w.boolean(spec.restrained_jam);
-  w.boolean(spec.energy_enabled);
-  w.u64(spec.energy_cost_transmit);
-  w.u64(spec.energy_cost_listen);
-  w.u64(spec.energy_cost_sleep);
+  snapshot::save_channel_variant(w, spec.restrained, spec.energy);
+}
+
+/// A decoded i64 that must fit an int field (seeds, rho percents): a
+/// silent truncation would run a different grid than the one sent.
+int load_int(Reader& r, const char* what) {
+  const std::int64_t v = r.i64();
+  if (v < INT_MIN || v > INT_MAX)
+    throw SnapshotError(ErrorKind::kCorrupt,
+                        std::string("grid spec ") + what + " out of range");
+  return static_cast<int>(v);
 }
 
 analysis::ExperimentSpec load_grid_spec(Reader& r) {
@@ -85,18 +93,22 @@ analysis::ExperimentSpec load_grid_spec(Reader& r) {
   check_count(count, 8);
   spec.rho_percents.clear();
   for (std::uint64_t i = 0; i < count; ++i)
-    spec.rho_percents.push_back(static_cast<int>(r.i64()));
+    spec.rho_percents.push_back(load_int(r, "rho percent"));
   spec.slot_policies = load_string_list(r);
   spec.burst_units = r.i64();
   spec.horizon_units = r.i64();
   spec.seed = r.u64();
-  spec.seeds = static_cast<int>(r.i64());
-  spec.restrained_k = r.u32();
-  spec.restrained_jam = r.boolean();
-  spec.energy_enabled = r.boolean();
-  spec.energy_cost_transmit = r.u64();
-  spec.energy_cost_listen = r.u64();
-  spec.energy_cost_sleep = r.u64();
+  spec.seeds = load_int(r, "seed count");
+  snapshot::load_channel_variant(r, spec.restrained, spec.energy);
+  // Reject what analysis::plan_grid would refuse, so a malformed Welcome
+  // fails as a typed wire error rather than escaping the session.
+  if (spec.protocols.empty() || spec.station_counts.empty() ||
+      spec.bounds_r.empty() || spec.rho_percents.empty() ||
+      spec.slot_policies.empty())
+    throw SnapshotError(ErrorKind::kCorrupt, "grid spec has an empty axis");
+  if (spec.seeds < 1 || spec.horizon_units <= 0)
+    throw SnapshotError(ErrorKind::kCorrupt,
+                        "grid spec needs seeds >= 1 and a positive horizon");
   return spec;
 }
 

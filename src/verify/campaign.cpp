@@ -304,17 +304,17 @@ Scenario shrink_counterexample(Scenario s, const CaseCheck& extra,
     // Simpler channel: an unrestrained medium beats a k-restrained one,
     // and energy metering is observation-only so dropping it should
     // never mask a violation — if it does, that is itself the bug.
-    if (s.restrained_k != 0) {
+    if (s.restrained.enabled()) {
       Scenario candidate = s;
-      candidate.restrained_k = 0;
+      candidate.restrained.k = 0;
       if (fails(candidate)) {
         s = candidate;
         improved = true;
       }
     }
-    if (s.energy_enabled) {
+    if (s.energy.enabled) {
       Scenario candidate = s;
-      candidate.energy_enabled = false;
+      candidate.energy.enabled = false;
       if (fails(candidate)) {
         s = candidate;
         improved = true;

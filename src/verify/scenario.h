@@ -1,10 +1,12 @@
 // asyncmac/verify/scenario.h
 //
 // Self-contained, serializable descriptions of whole simulator runs, and
-// a deterministic generator over them. A Scenario pins every degree of
-// freedom of an execution — protocol, topology (n, R), the adversarial
-// slot-length schedule, the injection adversary and the engine seed — so
-// that one plain-data record replays a run bit-for-bit on any machine.
+// a deterministic generator over them. A Scenario is a snapshot::RunSpec
+// (the repo's one run description) plus the generator seed it came from:
+// it pins every degree of freedom of an execution — protocol, topology
+// (n, R), the adversarial slot-length schedule, the injection adversary,
+// the channel variant and the engine seed — so that one plain-data record
+// replays a run bit-for-bit on any machine.
 //
 // ScenarioGen searches adversary space: it derives each case from a
 // single 64-bit seed through a splittable PRNG (one child generator per
@@ -21,31 +23,22 @@
 #include "adversary/injectors.h"
 #include "sim/cohort_engine.h"
 #include "sim/engine.h"
+#include "snapshot/checkpoint.h"
 #include "util/types.h"
 
 namespace asyncmac::verify {
 
-struct Scenario {
-  std::string protocol = "ao-arrow";  ///< analysis registry name
-  std::uint32_t n = 2;                ///< stations
-  std::uint32_t bound_r = 2;          ///< asynchrony bound R
-  std::string slot_policy = "perstation";  ///< adversary policy name
-  Tick horizon_units = 100;           ///< simulated time units
-  std::uint64_t seed = 1;             ///< engine + slot-policy seed
-  adversary::InjectorSpec injector;
-  /// k-restrained channel: at most `restrained_k` overlapping
-  /// transmissions admitted (0 = unrestrained). Excess arrivals jam the
-  /// slot when `restrained_jam`, else they are silently rejected.
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
-  /// Per-slot energy accounting (observation-only: billing never feeds
-  /// back into protocol decisions, so traces are unchanged).
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
+/// A run description with fuzzing-scale defaults (n = 2, a 100-unit
+/// horizon). Of the RunSpec fields, scenario_materials overrides the
+/// recording flags (trace and full channel history are always on).
+struct Scenario : snapshot::RunSpec {
   /// Generator seed this scenario was derived from (0 = handwritten).
   std::uint64_t case_seed = 0;
+
+  Scenario() {
+    n = 2;
+    horizon_units = 100;
+  }
 
   bool operator==(const Scenario&) const = default;
 
@@ -54,15 +47,14 @@ struct Scenario {
   std::string describe() const;
 };
 
-/// The scenario's engine construction materials (configuration, protocol
-/// instances, slot policy, injector) with trace recording and full channel
-/// history enabled — verification needs both. The single source of truth
-/// for how a Scenario maps onto an engine: build_engine consumes one
-/// build, and the campaign's cohort-equivalence oracle uses it as a
-/// sim::LaneBuilder. Throws std::invalid_argument on unknown
-/// protocol/policy/injector names. `seed_override` (0 = none) replaces
-/// s.seed in the engine configuration only — the slot policy still draws
-/// from s.seed, keeping cohort lanes schedule-compatible.
+/// The scenario's engine construction materials (snapshot::build_materials)
+/// with trace recording and full channel history enabled — verification
+/// needs both. build_engine consumes one build, and the campaign's
+/// cohort-equivalence oracle uses it as a sim::LaneBuilder. Throws
+/// std::invalid_argument on unknown protocol/policy/injector names.
+/// `seed_override` (0 = none) replaces s.seed in the engine configuration
+/// only — the slot policy still draws from s.seed, keeping cohort lanes
+/// schedule-compatible.
 sim::LaneMaterials scenario_materials(const Scenario& s,
                                       std::uint64_t seed_override = 0);
 

@@ -48,23 +48,9 @@ RunSpec spec_from_golden(const testing::EngineGoldenCase& c) {
 /// Map a fuzz scenario the same way (verify engines record the trace and
 /// keep the full channel history for the differential oracle).
 RunSpec spec_from_scenario(const verify::Scenario& s) {
-  RunSpec spec;
-  spec.protocol = s.protocol;
-  spec.n = s.n;
-  spec.bound_r = s.bound_r;
-  spec.slot_policy = s.slot_policy;
-  spec.has_injector = true;
-  spec.injector = s.injector;
-  spec.seed = s.seed;
-  spec.horizon_units = s.horizon_units;
+  RunSpec spec = s;
   spec.record_trace = true;
   spec.keep_channel_history = true;
-  spec.restrained_k = s.restrained_k;
-  spec.restrained_jam = s.restrained_jam;
-  spec.energy_enabled = s.energy_enabled;
-  spec.energy_cost_transmit = s.energy_cost_transmit;
-  spec.energy_cost_listen = s.energy_cost_listen;
-  spec.energy_cost_sleep = s.energy_cost_sleep;
   return spec;
 }
 
@@ -181,6 +167,42 @@ TEST(CheckpointEngine, RunSpecRoundTrip) {
   spec.prune_interval = 123;
   snapshot::Writer w;
   snapshot::save_run_spec(w, spec);
+  snapshot::Reader r(w.buffer());
+  EXPECT_EQ(snapshot::load_run_spec(r), spec);
+  EXPECT_NO_THROW(r.expect_end());
+}
+
+// The RunSpec payload of a restrained (k = 2, reject) + energy (3:1:0)
+// run, recorded before the channel-variant fields were nested: snapshots
+// written by earlier builds must keep loading, so these bytes never move.
+TEST(CheckpointEngine, RunSpecChannelVariantBytesArePinned) {
+  RunSpec spec;
+  spec.protocol = "ca-arrow";
+  spec.n = 3;
+  spec.bound_r = 2;
+  spec.slot_policy = "perstation";
+  spec.injector.rho = util::Ratio(3, 5);
+  spec.injector.burst_ticks = 4 * kTicksPerUnit;
+  spec.injector.seed = 8;
+  spec.seed = 7;
+  spec.horizon_units = 500;
+  spec.restrained = {2, false};
+  spec.energy = {true, 3, 1, 0};
+  snapshot::Writer w;
+  snapshot::save_run_spec(w, spec);
+  std::string hex;
+  for (std::uint8_t b : w.buffer()) {
+    hex += "0123456789abcdef"[b >> 4];
+    hex += "0123456789abcdef"[b & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "080000000000000063612d6172726f7703000000020000000a00000000000000"
+            "70657273746174696f6e010a0000000000000073617475726174696e67030000"
+            "0000000000050000000000000040fd2b00000000000a00000000000000726f75"
+            "6e64726f62696e01000000000000000000000001000000020000000800000000"
+            "0000000700000000000000f40100000000000000000001001000000000000000"
+            "0000000000000002000000000103000000000000000100000000000000000000"
+            "0000000000");
   snapshot::Reader r(w.buffer());
   EXPECT_EQ(snapshot::load_run_spec(r), spec);
   EXPECT_NO_THROW(r.expect_end());

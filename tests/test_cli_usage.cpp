@@ -104,6 +104,11 @@ TEST(CliUsage, MsrModeRejectsMalformedNumerics) {
   expect_usage_exit("--msr --rho=nan");
 }
 
+TEST(CliUsage, MsrModeRejectsUnknownNames) {
+  expect_usage_exit("--msr --protocol=bogus");
+  expect_usage_exit("--msr --policy=bogus");
+}
+
 // ------------------------------------------------- fuzz / stats / resume
 
 TEST(CliUsage, FuzzRejectsMalformedNumerics) {

@@ -7,13 +7,17 @@
 // mirrors test_snapshot_io.cpp and runs under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "analysis/grid.h"
 #include "sweep/protocol.h"
 #include "sweep/wire.h"
+#include "sweep/worker.h"
 
 namespace asyncmac {
 namespace {
@@ -356,6 +360,133 @@ TEST(SweepWire, FuzzResultRoundTripAndGuards) {
   w.u64(1ull << 60);  // absurd verdict count
   const auto bad = w.take();
   expect_kind(ErrorKind::kCorrupt, [&] { decode_fuzz_result(bad); });
+}
+
+// --------------------------------------------- grid spec byte layout
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+WelcomeMsg channel_variant_welcome() {
+  WelcomeMsg m;
+  m.worker_id = 7;
+  m.heartbeat_ms = 250;
+  m.lease_timeout_ms = 5000;
+  m.job = small_grid_job();
+  m.job.grid.restrained = {2, false};
+  m.job.grid.energy = {true, 3, 1, 0};
+  return m;
+}
+
+// The Welcome frame and grid fingerprint of a restrained (k = 2, reject)
+// + energy (3:1:0) grid, recorded before the channel-variant fields were
+// nested: the frame bytes and the fingerprint must never move.
+TEST(SweepWire, GridSpecChannelVariantBytesArePinned) {
+  const WelcomeMsg m = channel_variant_welcome();
+  const auto bytes = to_frame(m);
+  EXPECT_EQ(to_hex(bytes),
+            "414d57500100000002c400000000000000b2960e6407000000fa000000000000"
+            "008813000000000000010200000000000000080000000000000063612d617272"
+            "6f77030000000000000072727702000000000000000200000003000000010000"
+            "000000000002000000020000000000000028000000000000003c000000000000"
+            "0001000000000000000a0000000000000070657273746174696f6e1000000000"
+            "000000f401000000000000010000000000000002000000000000000200000000"
+            "01030000000000000001000000000000000000000000000000");
+  EXPECT_EQ(analysis::grid_fingerprint(m.job.grid), 0xdb032476u);
+  EXPECT_EQ(job_fingerprint(m.job), 0xdb032476u);
+
+  FrameDecoder dec;
+  dec.feed(bytes);
+  const auto f = dec.next();
+  ASSERT_TRUE(f.has_value());
+  const auto back = std::get<WelcomeMsg>(decode_message(*f));
+  EXPECT_EQ(back.job.grid.restrained, m.job.grid.restrained);
+  EXPECT_EQ(back.job.grid.energy, m.job.grid.energy);
+  EXPECT_EQ(back.job.grid.rho_percents, m.job.grid.rho_percents);
+  EXPECT_EQ(to_frame(back), bytes);
+}
+
+/// The Welcome frame of `job`, with the 8-byte little-endian encoding of
+/// `marker` in its payload replaced by `value` (to forge i64 fields the
+/// int-typed spec cannot hold).
+std::vector<std::uint8_t> forged_welcome(const SweepJob& job,
+                                         std::int64_t marker,
+                                         std::int64_t value) {
+  WelcomeMsg m;
+  m.worker_id = 1;
+  m.job = job;
+  const auto frame = to_frame(m);
+  std::vector<std::uint8_t> payload(frame.begin() + kFrameHeaderBytes,
+                                    frame.end());
+  snapshot::Writer from, to;
+  from.i64(marker);
+  to.i64(value);
+  const auto it = std::search(payload.begin(), payload.end(),
+                              from.buffer().begin(), from.buffer().end());
+  EXPECT_NE(it, payload.end());
+  if (it != payload.end())
+    std::copy(to.buffer().begin(), to.buffer().end(), it);
+  return encode_frame(MsgType::kWelcome, payload);
+}
+
+std::vector<std::uint8_t> welcome_frame(const SweepJob& job) {
+  WelcomeMsg m;
+  m.worker_id = 1;
+  m.job = job;
+  return to_frame(m);
+}
+
+// A well-framed Welcome whose grid spec analysis::plan_grid would refuse
+// (no seeds, an empty axis, no horizon) or whose int fields overflow is
+// corrupt at decode time, and a worker session fed one fails with a
+// typed wire error instead of letting an exception escape.
+TEST(SweepWire, MalformedWelcomeGridSpecIsCorrupt) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  SweepJob job = small_grid_job();
+  job.grid.seeds = 0;
+  frames.push_back(welcome_frame(job));
+  for (int axis = 0; axis < 5; ++axis) {
+    job = small_grid_job();
+    if (axis == 0) job.grid.protocols.clear();
+    if (axis == 1) job.grid.station_counts.clear();
+    if (axis == 2) job.grid.bounds_r.clear();
+    if (axis == 3) job.grid.rho_percents.clear();
+    if (axis == 4) job.grid.slot_policies.clear();
+    frames.push_back(welcome_frame(job));
+  }
+  job = small_grid_job();
+  job.grid.horizon_units = 0;
+  frames.push_back(welcome_frame(job));
+  job = small_grid_job();
+  job.grid.seeds = 0x5eed5eed;
+  frames.push_back(
+      forged_welcome(job, 0x5eed5eed, std::int64_t{INT_MAX} + 1));
+  job = small_grid_job();
+  job.grid.rho_percents = {40, 0x5eed5eed};
+  frames.push_back(
+      forged_welcome(job, 0x5eed5eed, std::int64_t{INT_MIN} - 1));
+
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    SCOPED_TRACE(i);
+    FrameDecoder dec;
+    dec.feed(frames[i]);
+    const auto f = dec.next();
+    ASSERT_TRUE(f.has_value());
+    expect_kind(ErrorKind::kCorrupt, [&] { decode_message(*f); });
+
+    WorkerSession w;
+    w.start(0);
+    EXPECT_NO_THROW(w.on_bytes(frames[i].data(), frames[i].size(), 0));
+    EXPECT_TRUE(w.failed());
+    EXPECT_NE(w.error().find("wire error"), std::string::npos) << w.error();
+  }
 }
 
 }  // namespace

@@ -41,11 +41,8 @@
 #include <string>
 #include <vector>
 
-#include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
 #include "analysis/experiment.h"
 #include "analysis/msr.h"
-#include "analysis/registry.h"
 #include "energy/meter.h"
 #include "live/daemon.h"
 #include "live/station.h"
@@ -93,13 +90,9 @@ struct Options {
   std::string telemetry_path;
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // k-restrained channel (0 = unrestrained) and per-slot energy model.
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
+  // k-restrained channel (k = 0: unrestrained) and per-slot energy model.
+  channel::RestrainedSpec restrained;
+  energy::EnergyModel energy;
 };
 
 std::vector<std::string> split_list(const std::string& s) {
@@ -324,14 +317,14 @@ double arg_finite(const std::string& s, const char* what) {
 /// way.
 void parse_restrained_arg(const std::string& v, Options& opt) {
   const std::size_t colon = v.find(':');
-  opt.restrained_k = arg_u32(
+  opt.restrained.k = arg_u32(
       colon == std::string::npos ? v : v.substr(0, colon), "--restrained-k");
   if (colon != std::string::npos) {
     const std::string mode = v.substr(colon + 1);
     if (mode == "jam")
-      opt.restrained_jam = true;
+      opt.restrained.jam = true;
     else if (mode == "reject")
-      opt.restrained_jam = false;
+      opt.restrained.jam = false;
     else
       usage("--restrained-k mode must be jam or reject, got: " + mode);
   }
@@ -344,12 +337,12 @@ void parse_energy_arg(const std::string& v, Options& opt) {
   const std::size_t c2 = c1 == std::string::npos ? c1 : v.find(':', c1 + 1);
   if (c1 == std::string::npos || c2 == std::string::npos)
     usage("--energy-model takes TX:LISTEN:SLEEP integer costs");
-  opt.energy_enabled = true;
-  opt.energy_cost_transmit =
+  opt.energy.enabled = true;
+  opt.energy.cost_transmit =
       arg_u64(v.substr(0, c1), "--energy-model transmit cost");
-  opt.energy_cost_listen =
+  opt.energy.cost_listen =
       arg_u64(v.substr(c1 + 1, c2 - c1 - 1), "--energy-model listen cost");
-  opt.energy_cost_sleep =
+  opt.energy.cost_sleep =
       arg_u64(v.substr(c2 + 1), "--energy-model sleep cost");
 }
 
@@ -468,12 +461,8 @@ analysis::ExperimentSpec make_grid_spec(const Options& opt) {
   spec.seeds = opt.seeds;
   spec.jobs = opt.jobs;
   spec.cohort = opt.cohort;
-  spec.restrained_k = opt.restrained_k;
-  spec.restrained_jam = opt.restrained_jam;
-  spec.energy_enabled = opt.energy_enabled;
-  spec.energy_cost_transmit = opt.energy_cost_transmit;
-  spec.energy_cost_listen = opt.energy_cost_listen;
-  spec.energy_cost_sleep = opt.energy_cost_sleep;
+  spec.restrained = opt.restrained;
+  spec.energy = opt.energy;
   spec.checkpoint_dir = opt.checkpoint_dir;
   return spec;
 }
@@ -504,40 +493,12 @@ int run_experiment_grid(const Options& opt) {
               << ": " << e.what() << "\n";
     return 1;
   }
-  return print_grid_results(records, opt.csv_path, spec.energy_enabled);
-}
-
-std::unique_ptr<sim::SlotPolicy> make_policy(const Options& opt) {
-  try {
-    return adversary::make_slot_policy(opt.policy, opt.n, opt.r, opt.seed);
-  } catch (const std::invalid_argument&) {
-    usage("unknown policy: " + opt.policy);
-  }
-}
-
-std::unique_ptr<sim::InjectionPolicy> make_injector(const Options& opt,
-                                                    util::Ratio rho) {
-  adversary::InjectorSpec spec;
-  spec.rho = rho;
-  spec.burst_ticks = opt.burst_units * U;
-  spec.seed = opt.seed + 1;
-  if (opt.pattern == "maxqueue") {
-    spec.kind = "maxqueue";
-  } else {
-    spec.kind = "saturating";
-    spec.pattern = opt.pattern;
-  }
-  try {
-    return adversary::make_injector(spec);
-  } catch (const std::invalid_argument&) {
-    usage("unknown pattern: " + opt.pattern);
-  }
+  return print_grid_results(records, opt.csv_path, spec.energy.enabled);
 }
 
 /// The single-run configuration as a snapshot::RunSpec, so a checkpointed
-/// run embeds exactly what `resume` needs to rebuild the engine. Mirrors
-/// make_policy/make_injector/build_engine below (which --msr keeps using
-/// with a swept rho/seed).
+/// run embeds exactly what `resume` needs to rebuild the engine. Run mode,
+/// --msr (with a swept rho/seed) and live-serve all build from it.
 snapshot::RunSpec make_run_spec(const Options& opt, util::Ratio rho) {
   snapshot::RunSpec spec;
   spec.protocol = opt.protocol;
@@ -558,12 +519,8 @@ snapshot::RunSpec make_run_spec(const Options& opt, util::Ratio rho) {
   spec.horizon_units = opt.horizon_units;
   spec.record_trace = opt.trace_units > 0;
   spec.checkpoint_interval = opt.checkpoint_every;
-  spec.restrained_k = opt.restrained_k;
-  spec.restrained_jam = opt.restrained_jam;
-  spec.energy_enabled = opt.energy_enabled;
-  spec.energy_cost_transmit = opt.energy_cost_transmit;
-  spec.energy_cost_listen = opt.energy_cost_listen;
-  spec.energy_cost_sleep = opt.energy_cost_sleep;
+  spec.restrained = opt.restrained;
+  spec.energy = opt.energy;
   return spec;
 }
 
@@ -581,7 +538,7 @@ void report_run(const snapshot::RunSpec& spec, double rho,
   // The energy block (text and JSON) is emitted only for enabled runs, so
   // a run without --energy-model prints byte-identical output to builds
   // that predate the energy subsystem.
-  const energy::EnergyModel model = spec.energy();
+  const energy::EnergyModel& model = spec.energy;
   const bool energy_on = meter != nullptr && model.enabled;
   if (json) {
     std::cout << metrics::to_json(s, &ch, true, energy_on ? meter : nullptr,
@@ -624,33 +581,25 @@ void report_run(const snapshot::RunSpec& spec, double rho,
   }
 }
 
-std::unique_ptr<sim::Engine> build_engine(const Options& opt,
-                                          util::Ratio rho,
-                                          std::uint64_t seed) {
-  sim::EngineConfig cfg;
-  cfg.n = opt.n;
-  cfg.bound_r = opt.r;
-  cfg.seed = seed;
-  cfg.record_trace = opt.trace_units > 0;
-  std::vector<std::unique_ptr<sim::Protocol>> ps;
-  try {
-    ps = analysis::make_protocols(opt.protocol, opt.n);
-  } catch (const std::invalid_argument&) {
-    usage("unknown protocol: " + opt.protocol);
-  }
-  return std::make_unique<sim::Engine>(cfg, std::move(ps), make_policy(opt),
-                                       make_injector(opt, rho));
-}
-
 int run_msr(const Options& opt) {
   analysis::MsrConfig cfg;
   cfg.probe.horizon = opt.horizon_units * U;
   cfg.base_seed = opt.seed;
-  const auto res = analysis::estimate_msr(
-      [&](util::Ratio rho, std::uint64_t seed) {
-        return build_engine(opt, rho, seed);
-      },
-      cfg);
+  const snapshot::RunSpec base =
+      make_run_spec(opt, util::Ratio::from_double(opt.rho));
+  analysis::MsrResult res;
+  try {
+    res = analysis::estimate_msr(
+        [&base](util::Ratio rho, std::uint64_t seed) {
+          snapshot::RunSpec spec = base;
+          spec.injector.rho = rho;
+          spec.seed = seed;
+          return snapshot::build_engine(spec);
+        },
+        cfg);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
   std::cout << "protocol=" << opt.protocol << " n=" << opt.n
             << " R=" << opt.r << " policy=" << opt.policy
             << "  measured MSR = " << res.msr_pct << "% (" << res.probes
@@ -1115,7 +1064,7 @@ int run_serve(int argc, char** argv) {
     return result.failures.empty() ? 0 : 1;
   }
   return print_grid_results(outcome.records, opt.grid.csv_path,
-                            opt.grid.energy_enabled);
+                            opt.grid.energy.enabled);
 }
 
 int run_worker(int argc, char** argv) {
