@@ -128,6 +128,9 @@ std::unique_ptr<sim::SlotPolicy> make_slot_policy(const std::string& name,
                                                   std::uint32_t n,
                                                   std::uint32_t bound_r,
                                                   std::uint64_t seed) {
+  // Checked here, not only by sim::Engine: perstation computes i % R
+  // before any engine sees the policy.
+  AM_REQUIRE(n >= 1 && bound_r >= 1, "slot policy needs n >= 1 and R >= 1");
   const Tick u = kTicksPerUnit;
   if (name == "sync") return std::make_unique<UniformSlotPolicy>(u);
   if (name == "max")

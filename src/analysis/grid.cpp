@@ -97,6 +97,10 @@ GridPlan plan_grid(const ExperimentSpec& spec) {
                  !spec.slot_policies.empty(),
              "every sweep dimension needs at least one value");
   AM_REQUIRE(spec.seeds >= 1, "need at least one seed");
+  for (std::uint32_t n : spec.station_counts)
+    AM_REQUIRE(n >= 1, "every station count must be >= 1");
+  for (std::uint32_t r : spec.bounds_r)
+    AM_REQUIRE(r >= 1, "every bound R must be >= 1");
   AM_REQUIRE(spec.horizon_units > 0, "horizon must be positive");
 
   GridPlan plan;

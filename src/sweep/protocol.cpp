@@ -106,6 +106,11 @@ analysis::ExperimentSpec load_grid_spec(Reader& r) {
       spec.bounds_r.empty() || spec.rho_percents.empty() ||
       spec.slot_policies.empty())
     throw SnapshotError(ErrorKind::kCorrupt, "grid spec has an empty axis");
+  for (const auto* axis : {&spec.station_counts, &spec.bounds_r})
+    for (std::uint32_t v : *axis)
+      if (v < 1)
+        throw SnapshotError(ErrorKind::kCorrupt,
+                            "grid spec needs every n and R >= 1");
   if (spec.seeds < 1 || spec.horizon_units <= 0)
     throw SnapshotError(ErrorKind::kCorrupt,
                         "grid spec needs seeds >= 1 and a positive horizon");

@@ -28,6 +28,16 @@ TEST(SlotPolicies, UniformRejectsSubUnit) {
   EXPECT_THROW(UniformSlotPolicy(U - 1), std::invalid_argument);
 }
 
+// Every named policy refuses n = 0 or R = 0 (perstation would divide by R).
+TEST(SlotPolicies, FactoryRejectsZeroStationsOrBound) {
+  for (const auto& name : slot_policy_names()) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(make_slot_policy(name, 3, 0, 1), std::invalid_argument);
+    EXPECT_THROW(make_slot_policy(name, 0, 2, 1), std::invalid_argument);
+    EXPECT_NE(make_slot_policy(name, 3, 2, 1), nullptr);
+  }
+}
+
 TEST(SlotPolicies, PerStationLengths) {
   PerStationSlotPolicy p({U, 2 * U, 3 * U});
   EXPECT_EQ(p.slot_length(1, 1, 0, SlotAction::kListen), U);

@@ -2,7 +2,8 @@
 // malformed / overflowing / empty / non-finite numeric values, must exit
 // with the usage status (2) and a usage message — never std::terminate
 // on an uncaught std::sto* exception, and never silently accept trailing
-// garbage ("--n=8x") or wrap on u32 overflow ("--r=4294967297").
+// garbage ("--n=8x") or wrap on u32 overflow ("--r=4294967297"). A flag
+// the selected mode does not read is bad usage too, not silently ignored.
 //
 // The tests spawn the real binary (path injected via ASYNCMAC_CLI_BIN)
 // because ctest's WILL_FAIL cannot distinguish a clean exit 2 from an
@@ -85,6 +86,8 @@ TEST(CliUsage, UnknownArgumentsAreUsageErrors) {
   expect_usage_exit("--bogus=1");
   expect_usage_exit("--grid --bogus");
   expect_usage_exit("frobnicate");
+  expect_usage_exit("--json=1");  // a switch takes no value
+  expect_usage_exit("--n");       // a value flag needs `=` outside fuzz
 }
 
 // ---------------------------------------------------------- grid / msr
@@ -96,6 +99,10 @@ TEST(CliUsage, GridModeRejectsMalformedListValues) {
   expect_usage_exit("--grid --rho=0.4,inf");
   expect_usage_exit("--grid --rho=0.4,2.0");
   expect_usage_exit("--grid --seeds=0");
+  // R = 0 must never reach the perstation slot policy's i % R (SIGFPE).
+  expect_usage_exit("--grid --r=0");
+  expect_usage_exit("--grid --n=2 --r=2,0");
+  expect_usage_exit("--grid --n=0");
 }
 
 TEST(CliUsage, MsrModeRejectsMalformedNumerics) {
@@ -120,6 +127,11 @@ TEST(CliUsage, FuzzRejectsMalformedNumerics) {
   expect_usage_exit("fuzz --case-seed=beef");
   expect_usage_exit("fuzz --emit-case=1.0");
   expect_usage_exit("fuzz --seed");      // flag without a value
+}
+
+TEST(CliUsage, FuzzRejectsUnknownProtocols) {
+  expect_usage_exit("fuzz --protocol=bogus --cases=5");
+  expect_usage_exit("fuzz --protocol ca-arrow,bogus --cases 5");
 }
 
 TEST(CliUsage, StatsRejectsMalformedNumerics) {
@@ -181,6 +193,39 @@ TEST(CliUsage, LiveStationRejectsMalformedNumerics) {
   expect_usage_exit("live-station --port=1234 --id=1 --retry-units=0");
   expect_usage_exit("live-station --port=1234 --id=1 --max-retries=x");
   expect_usage_exit("live-station --port=1234 --id=1 --unit-us=0");
+}
+
+// ------------------------------------------- flags the mode does not read
+
+// Each flag lists the modes that read it; any other mode refuses it
+// instead of silently ignoring it.
+TEST(CliUsage, FlagsTheModeDoesNotReadAreUsageErrors) {
+  const std::string grid = "--grid --n=2 --horizon=200 ";
+  expect_usage_exit(grid + "--pattern=single");
+  expect_usage_exit(grid + "--json");
+  expect_usage_exit(grid + "--trace=5");
+  expect_usage_exit(grid + "--checkpoint-every=5");
+  expect_usage_exit(grid + "--msr");
+
+  const std::string run = "--n=2 --horizon=200 ";
+  expect_usage_exit(run + "--csv=unused.csv");
+  expect_usage_exit(run + "--seeds=2");
+  expect_usage_exit(run + "--jobs=2");
+  expect_usage_exit(run + "--cohort=2");
+  expect_usage_exit(run + "--checkpoint-dir=unused_ckpt");
+  expect_usage_exit(run + "--checkpoint-every=5");
+
+  const std::string msr = "--msr --protocol=aloha --n=2 --horizon=200 ";
+  expect_usage_exit(msr + "--json");
+  expect_usage_exit(msr + "--trace=5");
+  expect_usage_exit(msr + "--rho=0.5");
+  expect_usage_exit(msr + "--checkpoint-dir=unused_ckpt");
+
+  for (const char* dim : {"--protocol=rrw", "--n=2", "--r=2", "--rho=0.5",
+                          "--policy=sync", "--horizon=200", "--seeds=2",
+                          "--csv=unused.csv", "--checkpoint-dir=unused"})
+    expect_usage_exit(std::string("serve --fuzz --cases=5 ") + dim);
+  expect_usage_exit("serve --cases=5");
 }
 
 // A sanity anchor: a well-formed invocation must NOT exit 2 (guards

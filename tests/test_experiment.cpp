@@ -8,6 +8,7 @@
 #include <iterator>
 
 #include "analysis/experiment.h"
+#include "analysis/grid.h"
 #include "analysis/registry.h"
 
 namespace asyncmac::analysis {
@@ -181,6 +182,18 @@ TEST(Experiment, RejectsEmptyDimensions) {
   ExperimentSpec spec;
   spec.protocols.clear();
   EXPECT_THROW(run_grid(spec), std::invalid_argument);
+}
+
+// n = 0 or R = 0 anywhere in an axis is refused up front, before R = 0
+// can reach the perstation slot policy's i % R.
+TEST(Experiment, PlanGridRejectsZeroStationsOrBound) {
+  ExperimentSpec spec;
+  spec.bounds_r = {2, 0};
+  EXPECT_THROW(plan_grid(spec), std::invalid_argument);
+  spec = ExperimentSpec{};
+  spec.station_counts = {0};
+  EXPECT_THROW(plan_grid(spec), std::invalid_argument);
+  EXPECT_NO_THROW(plan_grid(ExperimentSpec{}));
 }
 
 TEST(Experiment, CohortTimesJobsMatrixIsByteIdentical) {

@@ -444,9 +444,9 @@ std::vector<std::uint8_t> welcome_frame(const SweepJob& job) {
 }
 
 // A well-framed Welcome whose grid spec analysis::plan_grid would refuse
-// (no seeds, an empty axis, no horizon) or whose int fields overflow is
-// corrupt at decode time, and a worker session fed one fails with a
-// typed wire error instead of letting an exception escape.
+// (no seeds, an empty axis, no horizon, n or R of 0) or whose int fields
+// overflow is corrupt at decode time, and a worker session fed one fails
+// with a typed wire error instead of letting an exception escape.
 TEST(SweepWire, MalformedWelcomeGridSpecIsCorrupt) {
   std::vector<std::vector<std::uint8_t>> frames;
   SweepJob job = small_grid_job();
@@ -463,6 +463,12 @@ TEST(SweepWire, MalformedWelcomeGridSpecIsCorrupt) {
   }
   job = small_grid_job();
   job.grid.horizon_units = 0;
+  frames.push_back(welcome_frame(job));
+  job = small_grid_job();
+  job.grid.bounds_r = {0};  // a worker would divide by R in the slot policy
+  frames.push_back(welcome_frame(job));
+  job = small_grid_job();
+  job.grid.station_counts = {2, 0};
   frames.push_back(welcome_frame(job));
   job = small_grid_job();
   job.grid.seeds = 0x5eed5eed;

@@ -7,9 +7,10 @@
 //                --burst=16 --policy=perstation --horizon=100000
 //   (one command line; wrapped here for width)
 //
-// `asyncmac_cli --help` prints the full flag reference (print_help below
-// is the single source of truth; the help smoke tests in
-// tools/CMakeLists.txt pin its coverage). Modes:
+// `asyncmac_cli --help` prints the full flag reference (print_help below;
+// the help smoke tests in tools/CMakeLists.txt pin its coverage). Every
+// flag is parsed from one table, kFlags, which also names the modes that
+// read it. Modes:
 //
 //   (default)           one simulation run, stats as text or --json
 //   --grid              experiment grid over comma-list dimensions
@@ -19,6 +20,8 @@
 //   stats <jsonl>       summarize a telemetry JSONL stream
 //   serve [...]         distributed-sweep coordinator (src/sweep/)
 //   worker --port=P     distributed-sweep worker
+//   live-serve [...]    live channel-emulator daemon (src/live/)
+//   live-station [...]  live station client
 //
 // Checkpointing (docs/CHECKPOINT.md): a single run with
 // --checkpoint-every=K --checkpoint-dir=D autosaves rotating snapshots
@@ -29,20 +32,24 @@
 //
 // Exit code 0 on success; 1 on fuzz violations / failed replay / bad
 // checkpoint; 2 on bad usage.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/msr.h"
+#include "analysis/registry.h"
 #include "energy/meter.h"
 #include "live/daemon.h"
 #include "live/station.h"
@@ -65,34 +72,97 @@ namespace {
 using namespace asyncmac;
 constexpr Tick U = kTicksPerUnit;
 
+// ---- modes ------------------------------------------------------------
+// One bit per mode. The default command selects kRun, or kGrid / kMsr
+// with --grid / --msr; `serve` selects kServe, or kServeFuzz with --fuzz;
+// every other subcommand is its own mode. A flag lists the modes that
+// read it, and giving it to any other mode is a usage error.
+constexpr unsigned kRun = 1u << 0;
+constexpr unsigned kGrid = 1u << 1;
+constexpr unsigned kMsr = 1u << 2;
+constexpr unsigned kResume = 1u << 3;
+constexpr unsigned kFuzz = 1u << 4;
+constexpr unsigned kStats = 1u << 5;
+constexpr unsigned kServe = 1u << 6;
+constexpr unsigned kServeFuzz = 1u << 7;
+constexpr unsigned kWorker = 1u << 8;
+constexpr unsigned kLiveServe = 1u << 9;
+constexpr unsigned kLiveStation = 1u << 10;
+constexpr unsigned kAnyMode = (1u << 11) - 1;
+/// Modes that read the scenario flags (--protocol ... --telemetry).
+constexpr unsigned kScenario = kRun | kGrid | kMsr | kServe | kLiveServe;
+/// Modes whose --protocol/--n/--r/--rho/--policy take comma lists.
+constexpr unsigned kSweep = kGrid | kServe;
+/// Indexed by bit position, for "does not apply to" messages.
+constexpr const char* kModeNames[] = {
+    "a single run", "--grid",     "--msr",        "resume",
+    "fuzz",         "stats",      "serve without --fuzz", "serve --fuzz",
+    "worker",       "live-serve", "live-station"};
+
+/// Every mode's options, filled by the flag table (kFlags) below.
 struct Options {
+  unsigned mode = kRun;                ///< one mode bit
+  std::vector<std::string_view> seen;  ///< flags given, in argv order
+  std::string operand;                 ///< stats / resume file argument
+
+  // Scenario. The five axes stay raw text until parse_axes: comma lists
+  // in sweep modes, one value otherwise.
   std::string protocol = "ao-arrow";
-  std::uint32_t n = 4;
-  std::uint32_t r = 2;
-  double rho = 0.5;
-  Tick burst_units = 16;
+  std::string n_list = "4";
+  std::string r_list = "2";
+  std::string rho_list = "0.5";
   std::string policy = "perstation";
+  std::vector<std::uint32_t> ns;  ///< parsed --n (one element unless sweep)
+  std::vector<std::uint32_t> rs;  ///< parsed --r
+  std::vector<double> rhos;       ///< parsed --rho
   std::string pattern = "roundrobin";
+  Tick burst_units = 16;
   Tick horizon_units = 100000;
   std::uint64_t seed = 1;
+  // k-restrained channel (k = 0: unrestrained) and per-slot energy model.
+  channel::RestrainedSpec restrained;
+  energy::EnergyModel energy;
+  std::string telemetry_path;
+
+  // Run output and checkpointing.
   bool json = false;
   Tick trace_units = 0;
-  bool msr = false;
-  bool grid = false;
+  std::uint64_t checkpoint_every = 0;
+  std::string checkpoint_dir;
+
+  // Sweeps (--grid, serve); --jobs also sizes fuzz campaigns.
   int seeds = 1;
   unsigned jobs = 0;
   unsigned cohort = 0;
   std::string csv_path;
-  // Raw comma-list forms of the sweepable dimensions (grid mode).
-  std::string n_list = "4";
-  std::string r_list = "2";
-  std::string rho_list = "0.5";
-  std::string telemetry_path;
-  std::uint64_t checkpoint_every = 0;
-  std::string checkpoint_dir;
-  // k-restrained channel (k = 0: unrestrained) and per-slot energy model.
-  channel::RestrainedSpec restrained;
-  energy::EnergyModel energy;
+
+  // fuzz (and serve --fuzz: --cases).
+  std::uint64_t cases = 1000;
+  int time_budget = 0;
+  bool shrink = true;
+  std::string repro_out = "asyncmac_fuzz_repro.json";
+  std::string repro_in;          // replay mode
+  std::uint64_t case_seed = 0;   // single-case mode (0 = off)
+  std::uint64_t emit_case = 0;   // corpus-pinning mode (when given)
+  std::string fuzz_checkpoint;   // campaign cursor file
+
+  std::size_t top = 20;  // stats
+
+  // Endpoints: serve, worker, live-serve, live-station.
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;  ///< listeners: 0 = ephemeral; clients need one
+  std::string port_file;
+  std::optional<std::string> name;
+  std::uint64_t lease_timeout_ms = 10000;
+  std::uint64_t heartbeat_ms = 1000;
+  bool virtual_mode = false;
+  std::uint64_t unit_us = 1000;
+  live::UdpServeOptions udp;    ///< live-serve idle timeout + emulation
+  live::StationConfig station;  ///< live-station --id/--retry-units/...
+
+  bool given(std::string_view flag) const {
+    return std::find(seen.begin(), seen.end(), flag) != seen.end();
+  }
 };
 
 std::vector<std::string> split_list(const std::string& s) {
@@ -117,7 +187,7 @@ std::vector<std::string> split_list(const std::string& s) {
 // The complete flag reference, covering every mode and subcommand. The
 // help smoke tests (tools/CMakeLists.txt) pin that run/grid/msr/fuzz/
 // stats/resume and the checkpoint/telemetry flags all appear here — keep
-// it in sync when adding flags.
+// it in sync with kFlags when adding flags.
 [[noreturn]] void print_help() {
   std::cout <<
       "asyncmac_cli - discrete-event MAC simulator driver\n"
@@ -136,7 +206,11 @@ std::vector<std::string> split_list(const std::string& s) {
       "  asyncmac_cli live-station [...]       live station client\n"
       "  asyncmac_cli --help                   this reference\n"
       "\n"
-      "run flags (single run, --msr, and --grid):\n"
+      "A flag the selected mode does not read is a usage error (exit 2).\n"
+      "\n"
+      "run flags (a single run reads them all; --msr all but --rho,\n"
+      "--json, --trace and the checkpoint flags; --grid all but --pattern,\n"
+      "--json, --trace and --checkpoint-every):\n"
       "  --protocol=P   ao-arrow | ca-arrow | adaptive-abs | abs | rrw |\n"
       "                 mbtf | aloha | beb | csma-lbt | silence-tdma |\n"
       "                 sync-binary-le | listen | tree-resolution\n"
@@ -169,7 +243,8 @@ std::vector<std::string> split_list(const std::string& s) {
       "                 grid: per-cell manifest directory for resumable\n"
       "                 sweeps (see docs/CHECKPOINT.md)\n"
       "\n"
-      "grid flags (--grid; --protocol/--n/--r/--rho/--policy take comma\n"
+      "grid flags (--grid only, except that serve also reads --seeds and\n"
+      "--csv and fuzz --jobs; --protocol/--n/--r/--rho/--policy take comma\n"
       "lists and the cross product x --seeds replications runs on --jobs\n"
       "workers, see analysis/experiment.h):\n"
       "  --seeds=K      seed replications per cell (default 1)\n"
@@ -224,7 +299,9 @@ std::vector<std::string> split_list(const std::string& s) {
       "  --seeds=K / --csv=PATH / --checkpoint-dir=D / --telemetry=P\n"
       "                       as in --grid mode\n"
       "  --fuzz --cases=K     distribute a fuzz campaign (chunked cases)\n"
-      "                       instead of a grid; --seed seeds it\n"
+      "                       instead of a grid; --seed seeds it. With\n"
+      "                       --fuzz only --seed, --cases, --telemetry and\n"
+      "                       the port/lease/heartbeat flags apply\n"
       "\n"
       "worker flags (joins a coordinator, computes leased units until the\n"
       "sweep completes; safe to kill — its leases are reassigned):\n"
@@ -264,17 +341,11 @@ std::vector<std::string> split_list(const std::string& s) {
   std::exit(0);
 }
 
-// Turn telemetry on (all instruments + JSONL streaming to `path`).
-// Exits with usage() if the file cannot be opened.
-void enable_telemetry_or_die(const std::string& path) {
-  if (!telemetry::enable_to_file(path)) usage("cannot write " + path);
-}
-
 // ---- strict argv numeric parsing (util/parse.h) -----------------------
-// A malformed or overflowing value exits with a usage message instead of
-// an uncaught std::sto* exception (std::terminate); trailing garbage
-// ("--n=8x") and silently-wrapping u32 overflow ("--r=4294967297" → 1)
-// are rejected rather than truncated.
+// A malformed, overflowing or too-small value exits with a usage message
+// instead of an uncaught std::sto* exception (std::terminate); trailing
+// garbage ("--n=8x") and silently-wrapping u32 overflow ("--r=4294967297"
+// → 1) are rejected rather than truncated.
 
 // Largest time-unit count whose tick conversion (units * U) cannot
 // overflow a signed 64-bit Tick.
@@ -282,25 +353,24 @@ constexpr std::uint64_t kMaxUnitsArg =
     static_cast<std::uint64_t>(INT64_MAX / kTicksPerUnit);
 
 std::uint64_t arg_u64(const std::string& s, const char* what,
-                      std::uint64_t max = UINT64_MAX) {
+                      std::uint64_t max = UINT64_MAX, std::uint64_t min = 0) {
+  std::uint64_t v = 0;
   try {
-    return util::parse_u64(s, what, max);
+    v = util::parse_u64(s, what, max);
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
+  if (v < min) usage(std::string(what) + " must be >= " + std::to_string(min));
+  return v;
 }
 
 std::uint32_t arg_u32(const std::string& s, const char* what,
-                      std::uint32_t max = UINT32_MAX) {
-  try {
-    return util::parse_u32(s, what, max);
-  } catch (const std::invalid_argument& e) {
-    usage(e.what());
-  }
+                      std::uint32_t max = UINT32_MAX, std::uint32_t min = 0) {
+  return static_cast<std::uint32_t>(arg_u64(s, what, max, min));
 }
 
-Tick arg_units(const std::string& s, const char* what) {
-  return static_cast<Tick>(arg_u64(s, what, kMaxUnitsArg));
+Tick arg_units(const std::string& s, const char* what, std::uint64_t min = 0) {
+  return static_cast<Tick>(arg_u64(s, what, kMaxUnitsArg, min));
 }
 
 double arg_finite(const std::string& s, const char* what) {
@@ -312,10 +382,8 @@ double arg_finite(const std::string& s, const char* what) {
 }
 
 /// --restrained-k=K[:jam|reject] — at most K concurrent transmissions;
-/// over-capacity ones jam (default) or are rejected. Shared by run, grid,
-/// serve and live-serve parsing so every mode spells the channel the same
-/// way.
-void parse_restrained_arg(const std::string& v, Options& opt) {
+/// over-capacity ones jam (default) or are rejected.
+void parse_restrained_arg(Options& opt, const std::string& v) {
   const std::size_t colon = v.find(':');
   opt.restrained.k = arg_u32(
       colon == std::string::npos ? v : v.substr(0, colon), "--restrained-k");
@@ -332,7 +400,7 @@ void parse_restrained_arg(const std::string& v, Options& opt) {
 
 /// --energy-model=TX:LISTEN:SLEEP — enable per-slot energy accounting
 /// with the three integer costs (energy/model.h; docs/ENERGY.md).
-void parse_energy_arg(const std::string& v, Options& opt) {
+void parse_energy_arg(Options& opt, const std::string& v) {
   const std::size_t c1 = v.find(':');
   const std::size_t c2 = c1 == std::string::npos ? c1 : v.find(':', c1 + 1);
   if (c1 == std::string::npos || c2 == std::string::npos)
@@ -346,115 +414,274 @@ void parse_energy_arg(const std::string& v, Options& opt) {
       arg_u64(v.substr(c2 + 1), "--energy-model sleep cost");
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg.rfind("--protocol=", 0) == 0)
-      opt.protocol = value("--protocol=");
-    else if (arg.rfind("--n=", 0) == 0)
-      opt.n_list = value("--n=");
-    else if (arg.rfind("--r=", 0) == 0)
-      opt.r_list = value("--r=");
-    else if (arg.rfind("--rho=", 0) == 0)
-      opt.rho_list = value("--rho=");
-    else if (arg.rfind("--burst=", 0) == 0)
-      opt.burst_units = arg_units(value("--burst="), "--burst");
-    else if (arg.rfind("--policy=", 0) == 0)
-      opt.policy = value("--policy=");
-    else if (arg.rfind("--pattern=", 0) == 0)
-      opt.pattern = value("--pattern=");
-    else if (arg.rfind("--horizon=", 0) == 0)
-      opt.horizon_units = arg_units(value("--horizon="), "--horizon");
-    else if (arg.rfind("--seed=", 0) == 0)
-      opt.seed = arg_u64(value("--seed="), "--seed");
-    else if (arg == "--json")
-      opt.json = true;
-    else if (arg.rfind("--trace=", 0) == 0)
-      opt.trace_units = arg_units(value("--trace="), "--trace");
-    else if (arg == "--msr")
-      opt.msr = true;
-    else if (arg == "--grid")
-      opt.grid = true;
-    else if (arg.rfind("--seeds=", 0) == 0)
-      opt.seeds = static_cast<int>(
-          arg_u32(value("--seeds="), "--seeds", INT32_MAX));
-    else if (arg.rfind("--jobs=", 0) == 0)
-      opt.jobs = arg_u32(value("--jobs="), "--jobs");
-    else if (arg.rfind("--cohort=", 0) == 0)
-      opt.cohort = arg_u32(value("--cohort="), "--cohort");
-    else if (arg.rfind("--csv=", 0) == 0)
-      opt.csv_path = value("--csv=");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      opt.telemetry_path = value("--telemetry=");
-    else if (arg.rfind("--checkpoint-every=", 0) == 0)
-      opt.checkpoint_every =
-          arg_u64(value("--checkpoint-every="), "--checkpoint-every");
-    else if (arg.rfind("--checkpoint-dir=", 0) == 0)
-      opt.checkpoint_dir = value("--checkpoint-dir=");
-    else if (arg.rfind("--restrained-k=", 0) == 0)
-      parse_restrained_arg(value("--restrained-k="), opt);
-    else if (arg.rfind("--energy-model=", 0) == 0)
-      parse_energy_arg(value("--energy-model="), opt);
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown argument: " + arg);
-  }
-  if (opt.seeds < 1) usage("--seeds must be >= 1");
-  if (opt.checkpoint_every > 0 && opt.checkpoint_dir.empty())
-    usage("--checkpoint-every needs --checkpoint-dir");
-  if (opt.checkpoint_every > 0 && (opt.grid || opt.msr))
-    usage("--checkpoint-every applies to single runs only (grid mode "
-          "checkpoints per cell via --checkpoint-dir)");
-  if (!opt.checkpoint_dir.empty() && opt.msr)
-    usage("--checkpoint-dir is not supported in --msr mode");
-  if (!opt.checkpoint_dir.empty() && !opt.grid && opt.checkpoint_every == 0)
-    usage("single-run --checkpoint-dir needs --checkpoint-every");
-  if (!opt.grid) {
-    // Single-run (and MSR) modes take scalar dimensions.
-    if (opt.n_list.find(',') != std::string::npos ||
-        opt.r_list.find(',') != std::string::npos ||
-        opt.rho_list.find(',') != std::string::npos ||
-        opt.protocol.find(',') != std::string::npos ||
-        opt.policy.find(',') != std::string::npos)
-      usage("comma lists need --grid");
-    opt.n = arg_u32(opt.n_list, "--n");
-    opt.r = arg_u32(opt.r_list, "--r");
-    // arg_finite already rejects nan/inf (which would pass the range
-    // check below: comparisons against NaN are all false).
-    opt.rho = arg_finite(opt.rho_list, "--rho");
-    if (opt.n < 1) usage("--n must be >= 1");
-    if (opt.r < 1) usage("--r must be >= 1");
-    if (opt.rho < 0 || opt.rho > 1) usage("--rho must lie in [0, 1]");
-  }
-  return opt;
+// ---- the flag table ---------------------------------------------------
+// Each flag is declared once: its name, whether it takes a value, the
+// modes that read it, and the one setter that parses and bounds it.
+
+using Arg = const std::string&;
+
+struct Flag {
+  std::string_view name;
+  bool takes_value;
+  unsigned modes;
+  void (*set)(Options&, Arg);
+};
+
+constexpr bool kValue = true;
+constexpr bool kSwitch = false;
+constexpr unsigned kListeners = kServe | kServeFuzz | kLiveServe;
+constexpr unsigned kCoordinator = kServe | kServeFuzz;
+
+const Flag kFlags[] = {
+    // Scenario: one run description, or the axes of a --grid/serve sweep.
+    {"--protocol", kValue, kScenario | kFuzz,
+     [](Options& o, Arg v) { o.protocol = v; }},
+    {"--n", kValue, kScenario, [](Options& o, Arg v) { o.n_list = v; }},
+    {"--r", kValue, kScenario, [](Options& o, Arg v) { o.r_list = v; }},
+    // --msr searches rho itself.
+    {"--rho", kValue, kScenario & ~kMsr,
+     [](Options& o, Arg v) { o.rho_list = v; }},
+    {"--policy", kValue, kScenario, [](Options& o, Arg v) { o.policy = v; }},
+    {"--pattern", kValue, kRun | kMsr | kLiveServe,
+     [](Options& o, Arg v) { o.pattern = v; }},
+    {"--burst", kValue, kScenario,
+     [](Options& o, Arg v) { o.burst_units = arg_units(v, "--burst"); }},
+    {"--horizon", kValue, kScenario | kResume,
+     [](Options& o, Arg v) { o.horizon_units = arg_units(v, "--horizon"); }},
+    {"--seed", kValue, kScenario | kFuzz | kServeFuzz,
+     [](Options& o, Arg v) { o.seed = arg_u64(v, "--seed"); }},
+    {"--restrained-k", kValue, kScenario, parse_restrained_arg},
+    {"--energy-model", kValue, kScenario, parse_energy_arg},
+    {"--telemetry", kValue, kScenario | kResume | kFuzz | kServeFuzz,
+     [](Options& o, Arg v) { o.telemetry_path = v; }},
+
+    // Mode switches and help.
+    {"--grid", kSwitch, kGrid, [](Options& o, Arg) { o.mode = kGrid; }},
+    {"--msr", kSwitch, kMsr, [](Options& o, Arg) { o.mode = kMsr; }},
+    {"--fuzz", kSwitch, kServeFuzz,
+     [](Options& o, Arg) { o.mode = kServeFuzz; }},
+    {"--help", kSwitch, kAnyMode, [](Options&, Arg) { print_help(); }},
+
+    // Run output and checkpointing.
+    {"--json", kSwitch, kRun | kResume | kLiveServe,
+     [](Options& o, Arg) { o.json = true; }},
+    {"--trace", kValue, kRun | kResume | kLiveServe,
+     [](Options& o, Arg v) { o.trace_units = arg_units(v, "--trace"); }},
+    {"--checkpoint-every", kValue, kRun,
+     [](Options& o, Arg v) {
+       o.checkpoint_every = arg_u64(v, "--checkpoint-every");
+     }},
+    {"--checkpoint-dir", kValue, kRun | kGrid | kResume | kServe,
+     [](Options& o, Arg v) { o.checkpoint_dir = v; }},
+
+    // Sweeps.
+    {"--seeds", kValue, kSweep,
+     [](Options& o, Arg v) {
+       o.seeds = static_cast<int>(arg_u32(v, "--seeds", INT32_MAX, 1));
+     }},
+    {"--jobs", kValue, kGrid | kFuzz,
+     [](Options& o, Arg v) { o.jobs = arg_u32(v, "--jobs"); }},
+    {"--cohort", kValue, kGrid,
+     [](Options& o, Arg v) { o.cohort = arg_u32(v, "--cohort"); }},
+    {"--csv", kValue, kSweep, [](Options& o, Arg v) { o.csv_path = v; }},
+
+    // fuzz.
+    {"--cases", kValue, kFuzz | kServeFuzz,
+     [](Options& o, Arg v) { o.cases = arg_u64(v, "--cases", UINT64_MAX, 1); }},
+    {"--time-budget", kValue, kFuzz,
+     [](Options& o, Arg v) {
+       o.time_budget =
+           static_cast<int>(arg_u32(v, "--time-budget", INT32_MAX));
+     }},
+    {"--no-shrink", kSwitch, kFuzz, [](Options& o, Arg) { o.shrink = false; }},
+    {"--repro-out", kValue, kFuzz, [](Options& o, Arg v) { o.repro_out = v; }},
+    {"--repro", kValue, kFuzz, [](Options& o, Arg v) { o.repro_in = v; }},
+    {"--case-seed", kValue, kFuzz,
+     [](Options& o, Arg v) { o.case_seed = arg_u64(v, "--case-seed"); }},
+    {"--emit-case", kValue, kFuzz,
+     [](Options& o, Arg v) { o.emit_case = arg_u64(v, "--emit-case"); }},
+    {"--checkpoint", kValue, kFuzz,
+     [](Options& o, Arg v) { o.fuzz_checkpoint = v; }},
+
+    {"--top", kValue, kStats,
+     [](Options& o, Arg v) { o.top = arg_u64(v, "--top"); }},
+
+    // Endpoints.
+    {"--host", kValue, kWorker | kLiveStation,
+     [](Options& o, Arg v) { o.host = v; }},
+    {"--port", kValue, kListeners | kWorker | kLiveStation,
+     [](Options& o, Arg v) {
+       o.port = static_cast<std::uint16_t>(arg_u32(v, "--port", 65535));
+     }},
+    {"--port-file", kValue, kListeners,
+     [](Options& o, Arg v) { o.port_file = v; }},
+    {"--name", kValue, kWorker | kLiveStation,
+     [](Options& o, Arg v) { o.name = v; }},
+    {"--lease-timeout-ms", kValue, kCoordinator,
+     [](Options& o, Arg v) {
+       o.lease_timeout_ms = arg_u64(v, "--lease-timeout-ms", UINT64_MAX, 1);
+     }},
+    {"--heartbeat-ms", kValue, kCoordinator,
+     [](Options& o, Arg v) { o.heartbeat_ms = arg_u64(v, "--heartbeat-ms"); }},
+
+    // Live channel.
+    {"--virtual", kSwitch, kLiveServe,
+     [](Options& o, Arg) { o.virtual_mode = true; }},
+    {"--unit-us", kValue, kLiveServe | kLiveStation,
+     [](Options& o, Arg v) {
+       o.unit_us = arg_u64(v, "--unit-us", UINT64_MAX, 1);
+     }},
+    {"--idle-timeout-ms", kValue, kLiveServe,
+     [](Options& o, Arg v) {
+       o.udp.idle_timeout_ms = arg_u64(v, "--idle-timeout-ms", UINT64_MAX, 1);
+     }},
+    {"--emu-loss", kValue, kLiveServe,
+     [](Options& o, Arg v) {
+       o.udp.emu_loss = arg_finite(v, "--emu-loss");
+       if (o.udp.emu_loss < 0 || o.udp.emu_loss >= 1)
+         usage("--emu-loss must lie in [0, 1)");
+     }},
+    {"--emu-delay-us", kValue, kLiveServe,
+     [](Options& o, Arg v) {
+       o.udp.emu_delay_us = arg_u64(v, "--emu-delay-us");
+     }},
+    {"--emu-jitter-us", kValue, kLiveServe,
+     [](Options& o, Arg v) {
+       o.udp.emu_jitter_us = arg_u64(v, "--emu-jitter-us");
+     }},
+    {"--emu-seed", kValue, kLiveServe,
+     [](Options& o, Arg v) { o.udp.emu_seed = arg_u64(v, "--emu-seed"); }},
+    {"--id", kValue, kLiveStation,
+     [](Options& o, Arg v) {
+       o.station.id = arg_u32(v, "--id", UINT32_MAX, 1);
+     }},
+    {"--retry-units", kValue, kLiveStation,
+     [](Options& o, Arg v) {
+       o.station.retry_ticks = arg_units(v, "--retry-units", 1) * U;
+     }},
+    {"--max-retries", kValue, kLiveStation,
+     [](Options& o, Arg v) {
+       o.station.max_retries =
+           static_cast<int>(arg_u32(v, "--max-retries", INT32_MAX, 1));
+     }},
+};
+
+const Flag* find_flag(std::string_view name) {
+  for (const Flag& f : kFlags)
+    if (f.name == name) return &f;
+  return nullptr;
 }
 
-/// Grid dimensions from the parsed comma-lists — shared by --grid and
-/// `serve` so a distributed sweep runs exactly the spec a local one
-/// would (stdout parity depends on it).
+struct Command {
+  std::string_view name;  ///< argv[1]; empty for the default command
+  unsigned modes;         ///< modes it can select; lowest bit = default
+  const char* operand;    ///< its one positional argument, if it has one
+};
+
+const Command kCommands[] = {
+    {"", kRun | kGrid | kMsr, nullptr},
+    {"resume", kResume, "checkpoint file or directory"},
+    {"fuzz", kFuzz, nullptr},
+    {"stats", kStats, "telemetry JSONL file"},
+    {"serve", kServe | kServeFuzz, nullptr},
+    {"worker", kWorker, nullptr},
+    {"live-serve", kLiveServe, nullptr},
+    {"live-station", kLiveStation, nullptr},
+};
+
+bool is_flag(const std::string& arg) { return arg.rfind("--", 0) == 0; }
+
+/// The scenario axes: one value each in a single run, --msr and
+/// live-serve, comma lists under --grid and serve. Every element is
+/// parsed strictly and range-checked here: n >= 1, R >= 1, rho in [0, 1]
+/// (arg_finite rejects nan/inf, which pass any range comparison).
+void parse_axes(Options& o) {
+  const bool sweep = (o.mode & kSweep) != 0;
+  for (const std::string* v :
+       {&o.protocol, &o.policy, &o.n_list, &o.r_list, &o.rho_list})
+    if (!sweep && v->find(',') != std::string::npos)
+      usage("comma lists need --grid");
+  const auto elements = [sweep](const std::string& v) {
+    return sweep ? split_list(v) : std::vector<std::string>{v};
+  };
+  for (const auto& v : elements(o.n_list))
+    o.ns.push_back(arg_u32(v, "--n", UINT32_MAX, 1));
+  for (const auto& v : elements(o.r_list))
+    o.rs.push_back(arg_u32(v, "--r", UINT32_MAX, 1));
+  for (const auto& v : elements(o.rho_list)) {
+    o.rhos.push_back(arg_finite(v, "--rho"));
+    if (o.rhos.back() < 0 || o.rhos.back() > 1)
+      usage("--rho must lie in [0, 1]");
+  }
+}
+
+/// The one argv loop: `--flag=value`, bare switches, `--help`/`-h`, the
+/// positional operand of stats/resume and, for fuzz only, the two-token
+/// `--flag value` form. Then the checks that need the whole line.
+Options parse_args(const Command& cmd, int argc, char** argv) {
+  Options o;
+  o.mode = 1u << std::countr_zero(cmd.modes);
+  const std::string word = cmd.name.empty() ? "" : std::string(cmd.name) + " ";
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = std::string(argv[i]) == "-h" ? "--help" : argv[i];
+    if (!is_flag(arg)) {
+      if (cmd.operand == nullptr) usage("unknown " + word + "argument: " + arg);
+      if (!o.operand.empty()) usage(word + "takes one " + cmd.operand);
+      o.operand = arg;
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const Flag* flag = find_flag(name);
+    if (flag == nullptr || (flag->modes & cmd.modes) == 0)
+      usage("unknown " + word + "argument: " + arg);
+    std::string value;
+    if (eq != std::string::npos) {
+      if (!flag->takes_value) usage(name + " takes no value");
+      value = arg.substr(eq + 1);
+    } else if (flag->takes_value) {
+      if (cmd.modes != kFuzz || i + 1 >= argc || is_flag(argv[i + 1]))
+        usage(name + " needs a value");
+      value = argv[++i];
+    }
+    o.seen.push_back(flag->name);
+    flag->set(o, value);
+  }
+
+  for (std::string_view name : o.seen)
+    if ((find_flag(name)->modes & o.mode) == 0)
+      usage(std::string(name) + " does not apply to " +
+            kModeNames[std::countr_zero(o.mode)]);
+  if (cmd.operand != nullptr && o.operand.empty())
+    usage(word + "needs a " + cmd.operand);
+  if (o.mode & kScenario) parse_axes(o);
+  if (o.mode == kRun && (o.checkpoint_every > 0) == o.checkpoint_dir.empty())
+    usage("--checkpoint-every and --checkpoint-dir go together");
+  if (o.mode == kFuzz && o.given("--protocol")) {
+    const std::vector<std::string> known = analysis::protocol_names();
+    for (const auto& p : split_list(o.protocol))
+      if (std::find(known.begin(), known.end(), p) == known.end())
+        usage("unknown protocol: " + p);
+  }
+  if ((o.mode & (kWorker | kLiveStation)) && o.port == 0)
+    usage(word + "needs --port");
+  if (o.mode == kLiveStation && !o.given("--id"))
+    usage("live-station needs --id");
+  return o;
+}
+
+/// Grid dimensions from the parsed axes — shared by --grid and `serve`
+/// so a distributed sweep runs exactly the spec a local one would
+/// (stdout parity depends on it).
 analysis::ExperimentSpec make_grid_spec(const Options& opt) {
   analysis::ExperimentSpec spec;
   spec.protocols = split_list(opt.protocol);
   spec.slot_policies = split_list(opt.policy);
-  spec.station_counts.clear();
-  for (const auto& v : split_list(opt.n_list))
-    spec.station_counts.push_back(arg_u32(v, "--n"));
-  spec.bounds_r.clear();
-  for (const auto& v : split_list(opt.r_list))
-    spec.bounds_r.push_back(arg_u32(v, "--r"));
+  spec.station_counts = opt.ns;
+  spec.bounds_r = opt.rs;
   spec.rho_percents.clear();
-  for (const auto& v : split_list(opt.rho_list)) {
-    // arg_finite rejects nan/inf — a NaN in the list would sail through
-    // the range check below.
-    const double rho = arg_finite(v, "--rho");
-    if (rho < 0 || rho > 1) usage("--rho values must lie in [0, 1]");
+  for (double rho : opt.rhos)
     spec.rho_percents.push_back(static_cast<int>(std::lround(rho * 100)));
-  }
   spec.burst_units = opt.burst_units;
   spec.horizon_units = opt.horizon_units;
   spec.seed = opt.seed;
@@ -499,14 +726,14 @@ int run_experiment_grid(const Options& opt) {
 /// The single-run configuration as a snapshot::RunSpec, so a checkpointed
 /// run embeds exactly what `resume` needs to rebuild the engine. Run mode,
 /// --msr (with a swept rho/seed) and live-serve all build from it.
-snapshot::RunSpec make_run_spec(const Options& opt, util::Ratio rho) {
+snapshot::RunSpec make_run_spec(const Options& opt) {
   snapshot::RunSpec spec;
   spec.protocol = opt.protocol;
-  spec.n = opt.n;
-  spec.bound_r = opt.r;
+  spec.n = opt.ns.front();
+  spec.bound_r = opt.rs.front();
   spec.slot_policy = opt.policy;
   spec.has_injector = true;
-  spec.injector.rho = rho;
+  spec.injector.rho = util::Ratio::from_double(opt.rhos.front());
   spec.injector.burst_ticks = opt.burst_units * U;
   spec.injector.seed = opt.seed + 1;
   if (opt.pattern == "maxqueue") {
@@ -585,8 +812,7 @@ int run_msr(const Options& opt) {
   analysis::MsrConfig cfg;
   cfg.probe.horizon = opt.horizon_units * U;
   cfg.base_seed = opt.seed;
-  const snapshot::RunSpec base =
-      make_run_spec(opt, util::Ratio::from_double(opt.rho));
+  const snapshot::RunSpec base = make_run_spec(opt);
   analysis::MsrResult res;
   try {
     res = analysis::estimate_msr(
@@ -600,90 +826,14 @@ int run_msr(const Options& opt) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  std::cout << "protocol=" << opt.protocol << " n=" << opt.n
-            << " R=" << opt.r << " policy=" << opt.policy
+  std::cout << "protocol=" << opt.protocol << " n=" << base.n
+            << " R=" << base.bound_r << " policy=" << opt.policy
             << "  measured MSR = " << res.msr_pct << "% (" << res.probes
             << " probes)\n";
   return 0;
 }
 
 // ------------------------------------------------------------------- fuzz
-
-struct FuzzOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t cases = 1000;
-  unsigned jobs = 0;
-  int time_budget = 0;
-  bool shrink = true;
-  std::vector<std::string> protocols;
-  std::string repro_out = "asyncmac_fuzz_repro.json";
-  std::string repro_in;       // replay mode
-  std::uint64_t case_seed = 0;   // single-case mode (0 = off)
-  bool has_emit_case = false;
-  std::uint64_t emit_case = 0;   // corpus-pinning mode
-  std::string telemetry_path;
-  std::string checkpoint_path;   // campaign cursor file
-};
-
-FuzzOptions parse_fuzz_args(int argc, char** argv) {
-  FuzzOptions opt;
-  // Accept both --flag=value and the two-token --flag value form.
-  std::vector<std::string> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      args.push_back(arg.substr(0, eq));
-      args.push_back(arg.substr(eq + 1));
-    } else if (arg.rfind("--", 0) == 0 && i + 1 < argc &&
-               std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.push_back(arg);
-      args.push_back(argv[++i]);
-    } else {
-      args.push_back(arg);
-    }
-  }
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) usage(flag + " needs a value");
-      return args[++i];
-    };
-    if (flag == "--seed")
-      opt.seed = arg_u64(value(), "--seed");
-    else if (flag == "--cases")
-      opt.cases = arg_u64(value(), "--cases");
-    else if (flag == "--jobs")
-      opt.jobs = arg_u32(value(), "--jobs");
-    else if (flag == "--time-budget")
-      opt.time_budget = static_cast<int>(
-          arg_u32(value(), "--time-budget", INT32_MAX));
-    else if (flag == "--protocol")
-      opt.protocols = split_list(value());
-    else if (flag == "--no-shrink")
-      opt.shrink = false;
-    else if (flag == "--repro-out")
-      opt.repro_out = value();
-    else if (flag == "--repro")
-      opt.repro_in = value();
-    else if (flag == "--case-seed")
-      opt.case_seed = arg_u64(value(), "--case-seed");
-    else if (flag == "--telemetry")
-      opt.telemetry_path = value();
-    else if (flag == "--checkpoint")
-      opt.checkpoint_path = value();
-    else if (flag == "--help" || flag == "-h")
-      print_help();
-    else if (flag == "--emit-case") {
-      opt.has_emit_case = true;
-      opt.emit_case = arg_u64(value(), "--emit-case");
-    } else
-      usage("unknown fuzz argument: " + flag);
-  }
-  if (opt.cases < 1) usage("--cases must be >= 1");
-  if (opt.time_budget < 0) usage("--time-budget must be >= 0");
-  return opt;
-}
 
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path);
@@ -699,7 +849,7 @@ void write_text_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
-int replay_repro_file(const FuzzOptions& opt) {
+int replay_repro_file(const Options& opt) {
   verify::Repro repro;
   try {
     repro = verify::parse_repro_json(read_text_file(opt.repro_in));
@@ -739,8 +889,9 @@ int run_single_case(std::uint64_t case_seed,
   return 1;
 }
 
-int emit_corpus_case(const FuzzOptions& opt) {
-  const verify::ScenarioGen gen(opt.seed, opt.protocols);
+int emit_corpus_case(const Options& opt,
+                     const std::vector<std::string>& pool) {
+  const verify::ScenarioGen gen(opt.seed, pool);
   const verify::Scenario s = gen.generate(opt.emit_case);
   const auto r = verify::run_case(s);
   if (!r.ok) {
@@ -753,13 +904,13 @@ int emit_corpus_case(const FuzzOptions& opt) {
   return 0;
 }
 
-int run_fuzz(int argc, char** argv) {
-  const FuzzOptions opt = parse_fuzz_args(argc, argv);
-  if (!opt.telemetry_path.empty())
-    enable_telemetry_or_die(opt.telemetry_path);
+int run_fuzz(const Options& opt) {
+  const std::vector<std::string> pool =
+      opt.given("--protocol") ? split_list(opt.protocol)
+                              : std::vector<std::string>{};
   if (!opt.repro_in.empty()) return replay_repro_file(opt);
-  if (opt.case_seed != 0) return run_single_case(opt.case_seed, opt.protocols);
-  if (opt.has_emit_case) return emit_corpus_case(opt);
+  if (opt.case_seed != 0) return run_single_case(opt.case_seed, pool);
+  if (opt.given("--emit-case")) return emit_corpus_case(opt, pool);
 
   verify::CampaignConfig cfg;
   cfg.seed = opt.seed;
@@ -767,8 +918,8 @@ int run_fuzz(int argc, char** argv) {
   cfg.jobs = opt.jobs;
   cfg.time_budget_seconds = opt.time_budget;
   cfg.shrink = opt.shrink;
-  cfg.protocols = opt.protocols;
-  cfg.checkpoint_path = opt.checkpoint_path;
+  cfg.protocols = pool;
+  cfg.checkpoint_path = opt.fuzz_checkpoint;
 
   std::cout << "fuzz: seed=" << opt.seed << " cases=" << opt.cases
             << " jobs=" << opt.jobs << "\n";
@@ -778,7 +929,7 @@ int run_fuzz(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   } catch (const snapshot::SnapshotError& e) {
-    std::cerr << "asyncmac_cli fuzz: " << opt.checkpoint_path << ": "
+    std::cerr << "asyncmac_cli fuzz: " << opt.fuzz_checkpoint << ": "
               << e.what() << "\n";
     return 1;
   }
@@ -802,26 +953,13 @@ int run_fuzz(int argc, char** argv) {
 
 // ------------------------------------------------------------------ stats
 
-int run_stats(int argc, char** argv) {
-  std::string path;
-  std::size_t top = 20;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--top=", 0) == 0)
-      top = arg_u64(arg.substr(6), "--top");
-    else if (arg.rfind("--", 0) == 0)
-      usage("unknown stats argument: " + arg);
-    else if (path.empty())
-      path = arg;
-    else
-      usage("stats takes one telemetry file");
-  }
-  if (path.empty()) usage("stats needs a telemetry JSONL file");
+int run_stats(const Options& opt) {
+  const std::string& path = opt.operand;
   std::ifstream in(path);
   if (!in) usage("cannot read " + path);
   try {
     const auto summary = telemetry::summarize_stream(in);
-    std::cout << telemetry::render_summary(summary, top);
+    std::cout << telemetry::render_summary(summary, opt.top);
   } catch (const std::invalid_argument& e) {
     std::cerr << "asyncmac_cli stats: " << path << ": " << e.what() << "\n";
     return 1;
@@ -831,36 +969,8 @@ int run_stats(int argc, char** argv) {
 
 // ----------------------------------------------------------------- resume
 
-int run_resume(int argc, char** argv) {
-  std::string path;
-  Tick horizon_units = -1;  // -1 = use the checkpoint's recorded horizon
-  bool json = false;
-  Tick trace_units = 0;
-  std::string telemetry_path;
-  std::string checkpoint_dir;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--horizon=", 0) == 0)
-      horizon_units = arg_units(arg.substr(10), "--horizon");
-    else if (arg == "--json")
-      json = true;
-    else if (arg.rfind("--trace=", 0) == 0)
-      trace_units = arg_units(arg.substr(8), "--trace");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      telemetry_path = arg.substr(12);
-    else if (arg.rfind("--checkpoint-dir=", 0) == 0)
-      checkpoint_dir = arg.substr(17);
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else if (arg.rfind("--", 0) == 0)
-      usage("unknown resume argument: " + arg);
-    else if (path.empty())
-      path = arg;
-    else
-      usage("resume takes one checkpoint file");
-  }
-  if (path.empty()) usage("resume needs a checkpoint file or directory");
-  if (!telemetry_path.empty()) enable_telemetry_or_die(telemetry_path);
+int run_resume(const Options& opt) {
+  std::string path = opt.operand;
 
   // A directory means "the newest autosave in it": AutoSaver names files
   // ckpt-NNNNNN.snap with a monotone counter, so the lexicographically
@@ -891,16 +1001,16 @@ int run_resume(int argc, char** argv) {
     return 1;
   }
   snapshot::RunSpec spec = run.spec;
-  if (horizon_units >= 0) spec.horizon_units = horizon_units;
+  if (opt.given("--horizon")) spec.horizon_units = opt.horizon_units;
 
   // Keep autosaving when asked to (the cadence is baked into the
   // checkpoint; a spec without one cannot re-arm from here).
   std::shared_ptr<snapshot::AutoSaver> saver;
-  if (!checkpoint_dir.empty()) {
+  if (!opt.checkpoint_dir.empty()) {
     if (spec.checkpoint_interval == 0)
       usage("this checkpoint was written without --checkpoint-every; "
             "--checkpoint-dir cannot re-arm autosaving");
-    saver = std::make_shared<snapshot::AutoSaver>(checkpoint_dir, spec);
+    saver = std::make_shared<snapshot::AutoSaver>(opt.checkpoint_dir, spec);
     run.engine->set_checkpoint_sink(
         [saver](const sim::Engine& e) { (*saver)(e); });
   }
@@ -922,101 +1032,27 @@ int run_resume(int argc, char** argv) {
   const double rho =
       spec.has_injector ? spec.injector.rho.to_double() : 0.0;
   report_run(spec, rho, run.engine->stats(), run.engine->channel_stats(),
-             run.engine->trace().slots(), json, trace_units,
+             run.engine->trace().slots(), opt.json, opt.trace_units,
              &run.engine->energy_meter());
   return 0;
 }
 
 // ------------------------------------------------------- serve / worker
 
-struct ServeOptions {
-  Options grid;  ///< sweep dimensions (comma lists) + --csv/--checkpoint-dir
-  bool fuzz = false;
-  std::uint64_t cases = 1000;
-  std::uint16_t port = 0;  ///< 0 = ephemeral
-  std::string port_file;
-  std::uint64_t lease_timeout_ms = 10000;
-  std::uint64_t heartbeat_ms = 1000;
-};
-
-ServeOptions parse_serve_args(int argc, char** argv) {
-  ServeOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg.rfind("--protocol=", 0) == 0)
-      opt.grid.protocol = value("--protocol=");
-    else if (arg.rfind("--n=", 0) == 0)
-      opt.grid.n_list = value("--n=");
-    else if (arg.rfind("--r=", 0) == 0)
-      opt.grid.r_list = value("--r=");
-    else if (arg.rfind("--rho=", 0) == 0)
-      opt.grid.rho_list = value("--rho=");
-    else if (arg.rfind("--burst=", 0) == 0)
-      opt.grid.burst_units = arg_units(value("--burst="), "--burst");
-    else if (arg.rfind("--policy=", 0) == 0)
-      opt.grid.policy = value("--policy=");
-    else if (arg.rfind("--horizon=", 0) == 0)
-      opt.grid.horizon_units = arg_units(value("--horizon="), "--horizon");
-    else if (arg.rfind("--seed=", 0) == 0)
-      opt.grid.seed = arg_u64(value("--seed="), "--seed");
-    else if (arg.rfind("--seeds=", 0) == 0)
-      opt.grid.seeds = static_cast<int>(
-          arg_u32(value("--seeds="), "--seeds", INT32_MAX));
-    else if (arg.rfind("--csv=", 0) == 0)
-      opt.grid.csv_path = value("--csv=");
-    else if (arg.rfind("--checkpoint-dir=", 0) == 0)
-      opt.grid.checkpoint_dir = value("--checkpoint-dir=");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      opt.grid.telemetry_path = value("--telemetry=");
-    else if (arg.rfind("--restrained-k=", 0) == 0)
-      parse_restrained_arg(value("--restrained-k="), opt.grid);
-    else if (arg.rfind("--energy-model=", 0) == 0)
-      parse_energy_arg(value("--energy-model="), opt.grid);
-    else if (arg == "--fuzz")
-      opt.fuzz = true;
-    else if (arg.rfind("--cases=", 0) == 0)
-      opt.cases = arg_u64(value("--cases="), "--cases");
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(value("--port="), "--port", 65535));
-    else if (arg.rfind("--port-file=", 0) == 0)
-      opt.port_file = value("--port-file=");
-    else if (arg.rfind("--lease-timeout-ms=", 0) == 0)
-      opt.lease_timeout_ms =
-          arg_u64(value("--lease-timeout-ms="), "--lease-timeout-ms");
-    else if (arg.rfind("--heartbeat-ms=", 0) == 0)
-      opt.heartbeat_ms = arg_u64(value("--heartbeat-ms="), "--heartbeat-ms");
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown serve argument: " + arg);
-  }
-  if (opt.grid.seeds < 1) usage("--seeds must be >= 1");
-  if (opt.lease_timeout_ms == 0) usage("--lease-timeout-ms must be > 0");
-  if (opt.cases < 1) usage("--cases must be >= 1");
-  return opt;
-}
-
-int run_serve(int argc, char** argv) {
-  const ServeOptions opt = parse_serve_args(argc, argv);
-  if (!opt.grid.telemetry_path.empty())
-    enable_telemetry_or_die(opt.grid.telemetry_path);
-
+int run_serve(const Options& opt) {
+  const bool fuzz = opt.mode == kServeFuzz;
   sweep::ServeOptions srv;
   srv.port = opt.port;
   srv.coord.lease_timeout_ms = opt.lease_timeout_ms;
   srv.coord.heartbeat_ms = opt.heartbeat_ms;
-  if (opt.fuzz) {
+  if (fuzz) {
     srv.coord.job.kind = sweep::JobKind::kFuzz;
-    srv.coord.job.fuzz.seed = opt.grid.seed;
+    srv.coord.job.fuzz.seed = opt.seed;
     srv.coord.job.fuzz.cases = opt.cases;
   } else {
     srv.coord.job.kind = sweep::JobKind::kGrid;
-    srv.coord.job.grid = make_grid_spec(opt.grid);
-    srv.coord.checkpoint_dir = opt.grid.checkpoint_dir;
+    srv.coord.job.grid = make_grid_spec(opt);
+    srv.coord.checkpoint_dir = opt.checkpoint_dir;
   }
   // Progress and the bound port go to stderr: stdout stays byte-identical
   // to the same sweep run locally with --grid.
@@ -1049,7 +1085,7 @@ int run_serve(int argc, char** argv) {
        {"dup_results", reg.counter("sweep.dup_results").value()},
        {"worker_deaths", reg.counter("sweep.worker_deaths").value()}});
 
-  if (opt.fuzz) {
+  if (fuzz) {
     // Same summary run_campaign prints for these verdicts (shrinking is
     // coordinator-local work a distributed run does not repeat).
     verify::CampaignResult result;
@@ -1063,29 +1099,17 @@ int run_serve(int argc, char** argv) {
     std::cout << verify::summarize(result);
     return result.failures.empty() ? 0 : 1;
   }
-  return print_grid_results(outcome.records, opt.grid.csv_path,
-                            opt.grid.energy.enabled);
+  return print_grid_results(outcome.records, opt.csv_path,
+                            opt.energy.enabled);
 }
 
-int run_worker(int argc, char** argv) {
-  sweep::WorkerOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--host=", 0) == 0)
-      opt.host = arg.substr(7);
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(arg.substr(7), "--port", 65535));
-    else if (arg.rfind("--name=", 0) == 0)
-      opt.name = arg.substr(7);
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown worker argument: " + arg);
-  }
-  if (opt.port == 0) usage("worker needs --port");
+int run_worker(const Options& opt) {
+  sweep::WorkerOptions w;
+  w.host = opt.host;
+  w.port = opt.port;
+  w.name = opt.name.value_or(w.name);
   try {
-    return sweep::run_worker(opt);
+    return sweep::run_worker(w);
   } catch (const std::runtime_error& e) {
     std::cerr << "asyncmac_cli worker: " << e.what() << "\n";
     return 1;
@@ -1094,115 +1118,15 @@ int run_worker(int argc, char** argv) {
 
 // ------------------------------------------------ live-serve / live-station
 
-struct LiveServeOptions {
-  Options run;  ///< scenario dimensions (scalar) + --json/--trace/--telemetry
-  bool virtual_mode = false;
-  std::uint16_t port = 0;  ///< 0 = ephemeral
-  std::string port_file;
-  std::uint64_t unit_us = 1000;
-  std::uint64_t idle_timeout_ms = 30000;
-  double emu_loss = 0.0;
-  std::uint64_t emu_delay_us = 0;
-  std::uint64_t emu_jitter_us = 0;
-  std::uint64_t emu_seed = 1;
-};
-
-LiveServeOptions parse_live_serve_args(int argc, char** argv) {
-  LiveServeOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg.rfind("--protocol=", 0) == 0)
-      opt.run.protocol = value("--protocol=");
-    else if (arg.rfind("--n=", 0) == 0)
-      opt.run.n_list = value("--n=");
-    else if (arg.rfind("--r=", 0) == 0)
-      opt.run.r_list = value("--r=");
-    else if (arg.rfind("--rho=", 0) == 0)
-      opt.run.rho_list = value("--rho=");
-    else if (arg.rfind("--burst=", 0) == 0)
-      opt.run.burst_units = arg_units(value("--burst="), "--burst");
-    else if (arg.rfind("--policy=", 0) == 0)
-      opt.run.policy = value("--policy=");
-    else if (arg.rfind("--pattern=", 0) == 0)
-      opt.run.pattern = value("--pattern=");
-    else if (arg.rfind("--horizon=", 0) == 0)
-      opt.run.horizon_units = arg_units(value("--horizon="), "--horizon");
-    else if (arg.rfind("--seed=", 0) == 0)
-      opt.run.seed = arg_u64(value("--seed="), "--seed");
-    else if (arg == "--json")
-      opt.run.json = true;
-    else if (arg.rfind("--trace=", 0) == 0)
-      opt.run.trace_units = arg_units(value("--trace="), "--trace");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      opt.run.telemetry_path = value("--telemetry=");
-    else if (arg.rfind("--restrained-k=", 0) == 0)
-      parse_restrained_arg(value("--restrained-k="), opt.run);
-    else if (arg.rfind("--energy-model=", 0) == 0)
-      parse_energy_arg(value("--energy-model="), opt.run);
-    else if (arg == "--virtual")
-      opt.virtual_mode = true;
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(value("--port="), "--port", 65535));
-    else if (arg.rfind("--port-file=", 0) == 0)
-      opt.port_file = value("--port-file=");
-    else if (arg.rfind("--unit-us=", 0) == 0)
-      opt.unit_us = arg_u64(value("--unit-us="), "--unit-us");
-    else if (arg.rfind("--idle-timeout-ms=", 0) == 0)
-      opt.idle_timeout_ms =
-          arg_u64(value("--idle-timeout-ms="), "--idle-timeout-ms");
-    else if (arg.rfind("--emu-loss=", 0) == 0)
-      opt.emu_loss = arg_finite(value("--emu-loss="), "--emu-loss");
-    else if (arg.rfind("--emu-delay-us=", 0) == 0)
-      opt.emu_delay_us = arg_u64(value("--emu-delay-us="), "--emu-delay-us");
-    else if (arg.rfind("--emu-jitter-us=", 0) == 0)
-      opt.emu_jitter_us = arg_u64(value("--emu-jitter-us="), "--emu-jitter-us");
-    else if (arg.rfind("--emu-seed=", 0) == 0)
-      opt.emu_seed = arg_u64(value("--emu-seed="), "--emu-seed");
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown live-serve argument: " + arg);
-  }
-  // Scalar scenario dimensions with the same validation as run mode (a
-  // live daemon emulates exactly one run).
-  if (opt.run.n_list.find(',') != std::string::npos ||
-      opt.run.r_list.find(',') != std::string::npos ||
-      opt.run.rho_list.find(',') != std::string::npos ||
-      opt.run.protocol.find(',') != std::string::npos ||
-      opt.run.policy.find(',') != std::string::npos)
-    usage("live-serve takes scalar dimensions, not comma lists");
-  opt.run.n = arg_u32(opt.run.n_list, "--n");
-  opt.run.r = arg_u32(opt.run.r_list, "--r");
-  // arg_finite already rejects nan/inf (comparisons against NaN are all
-  // false, so they would sail through the range check).
-  opt.run.rho = arg_finite(opt.run.rho_list, "--rho");
-  if (opt.run.n < 1) usage("--n must be >= 1");
-  if (opt.run.r < 1) usage("--r must be >= 1");
-  if (opt.run.rho < 0 || opt.run.rho > 1) usage("--rho must lie in [0, 1]");
-  if (opt.emu_loss < 0 || opt.emu_loss >= 1)
-    usage("--emu-loss must lie in [0, 1)");
-  if (opt.unit_us < 1) usage("--unit-us must be >= 1");
-  if (opt.idle_timeout_ms < 1) usage("--idle-timeout-ms must be > 0");
-  return opt;
-}
-
 /// Wall microseconds -> virtual-clock ticks under --unit-us.
 Tick emu_us_to_ticks(std::uint64_t us, std::uint64_t unit_us) {
   return static_cast<Tick>(us) * U / static_cast<Tick>(unit_us);
 }
 
-int run_live_serve(int argc, char** argv) {
-  const LiveServeOptions opt = parse_live_serve_args(argc, argv);
-  if (!opt.run.telemetry_path.empty())
-    enable_telemetry_or_die(opt.run.telemetry_path);
-
-  const auto rho = util::Ratio::from_double(opt.run.rho);
+int run_live_serve(const Options& opt) {
+  const double rho = opt.rhos.front();
   live::DaemonConfig dc;
-  dc.spec = make_run_spec(opt.run, rho);
+  dc.spec = make_run_spec(opt);
   dc.spec.checkpoint_interval = 0;  // live runs do not autosave
 
   if (opt.virtual_mode) {
@@ -1210,10 +1134,10 @@ int run_live_serve(int argc, char** argv) {
     // stdout is byte-identical to the same scenario in run mode (the
     // live-smoke CI job diffs the two).
     live::VirtualRunOptions vopt;
-    vopt.knobs.loss = opt.emu_loss;
-    vopt.knobs.delay = emu_us_to_ticks(opt.emu_delay_us, opt.unit_us);
-    vopt.knobs.jitter = emu_us_to_ticks(opt.emu_jitter_us, opt.unit_us);
-    vopt.knobs.seed = opt.emu_seed;
+    vopt.knobs.loss = opt.udp.emu_loss;
+    vopt.knobs.delay = emu_us_to_ticks(opt.udp.emu_delay_us, opt.unit_us);
+    vopt.knobs.jitter = emu_us_to_ticks(opt.udp.emu_jitter_us, opt.unit_us);
+    vopt.knobs.seed = opt.udp.emu_seed;
     live::VirtualRunReport rep;
     try {
       rep = live::run_virtual(dc.spec, vopt);
@@ -1233,8 +1157,8 @@ int run_live_serve(int argc, char** argv) {
                     {{"protocol", dc.spec.protocol},
                      {"injected", rep.stats.injected_packets},
                      {"delivered", rep.stats.delivered_packets}});
-    report_run(dc.spec, opt.run.rho, rep.stats, rep.channel, rep.trace,
-               opt.run.json, opt.run.trace_units, &rep.energy);
+    report_run(dc.spec, rho, rep.stats, rep.channel, rep.trace, opt.json,
+               opt.trace_units, &rep.energy);
     // Verdict on stderr: stdout must stay identical to run mode, which
     // has no stability probe.
     std::cerr << "live: verdict=" << analysis::to_string(rep.verdict) << " ("
@@ -1248,15 +1172,10 @@ int run_live_serve(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  live::UdpServeOptions uopt;
+  live::UdpServeOptions uopt = opt.udp;
   uopt.port = opt.port;
   uopt.port_file = opt.port_file;
   uopt.unit_us = opt.unit_us;
-  uopt.idle_timeout_ms = opt.idle_timeout_ms;
-  uopt.emu_loss = opt.emu_loss;
-  uopt.emu_delay_us = opt.emu_delay_us;
-  uopt.emu_jitter_us = opt.emu_jitter_us;
-  uopt.emu_seed = opt.emu_seed;
   uopt.on_listening = [](std::uint16_t port) {
     std::cerr << "live-serve: listening on UDP port " << port << "\n";
   };
@@ -1270,87 +1189,34 @@ int run_live_serve(int argc, char** argv) {
                   {{"protocol", dc.spec.protocol},
                    {"injected", daemon->stats().injected_packets},
                    {"delivered", daemon->stats().delivered_packets}});
-  report_run(dc.spec, opt.run.rho, daemon->stats(),
-             daemon->live_channel_stats(), daemon->trace().slots(),
-             opt.run.json, opt.run.trace_units, &daemon->energy_meter());
+  report_run(dc.spec, rho, daemon->stats(), daemon->live_channel_stats(),
+             daemon->trace().slots(), opt.json, opt.trace_units,
+             &daemon->energy_meter());
   std::cerr << "live: verdict=" << analysis::to_string(daemon->verdict())
             << " (" << daemon->backlog_samples().size() << " samples)\n";
   return 0;
 }
 
-int run_live_station(int argc, char** argv) {
-  live::UdpStationOptions opt;
-  bool have_id = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg.rfind("--host=", 0) == 0)
-      opt.host = value("--host=");
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(value("--port="), "--port", 65535));
-    else if (arg.rfind("--id=", 0) == 0) {
-      opt.station.id = arg_u32(value("--id="), "--id");
-      have_id = true;
-    } else if (arg.rfind("--name=", 0) == 0)
-      opt.station.name = value("--name=");
-    else if (arg.rfind("--unit-us=", 0) == 0)
-      opt.unit_us = arg_u64(value("--unit-us="), "--unit-us");
-    else if (arg.rfind("--retry-units=", 0) == 0)
-      opt.station.retry_ticks =
-          arg_units(value("--retry-units="), "--retry-units") * U;
-    else if (arg.rfind("--max-retries=", 0) == 0)
-      opt.station.max_retries = static_cast<int>(
-          arg_u32(value("--max-retries="), "--max-retries", INT32_MAX));
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown live-station argument: " + arg);
-  }
-  if (opt.port == 0) usage("live-station needs --port");
-  if (!have_id || opt.station.id < 1) usage("live-station needs --id >= 1");
-  if (opt.station.retry_ticks < 1) usage("--retry-units must be >= 1");
-  if (opt.station.max_retries < 1) usage("--max-retries must be >= 1");
-  if (opt.unit_us < 1) usage("--unit-us must be >= 1");
-  if (opt.station.name == "station")
-    opt.station.name = "station-" + std::to_string(opt.station.id);
-
+int run_live_station(const Options& opt) {
+  live::UdpStationOptions st;
+  st.host = opt.host;
+  st.port = opt.port;
+  st.unit_us = opt.unit_us;
+  st.station = opt.station;
+  st.station.name =
+      opt.name.value_or("station-" + std::to_string(opt.station.id));
   std::string err;
-  const int rc = live::run_station_udp(opt, &err);
+  const int rc = live::run_station_udp(st, &err);
   if (rc != 0)
-    std::cerr << "asyncmac_cli live-station " << opt.station.id << ": "
+    std::cerr << "asyncmac_cli live-station " << st.station.id << ": "
               << (err.empty() ? std::string("failed") : err) << "\n";
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "serve")
-    return run_serve(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "worker")
-    return run_worker(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "fuzz")
-    return run_fuzz(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "stats")
-    return run_stats(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "resume")
-    return run_resume(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "live-serve")
-    return run_live_serve(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "live-station")
-    return run_live_station(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "help") print_help();
-  const Options opt = parse_args(argc, argv);
-  if (!opt.telemetry_path.empty())
-    enable_telemetry_or_die(opt.telemetry_path);
-  if (opt.grid) return run_experiment_grid(opt);
-  if (opt.msr) return run_msr(opt);
-
-  const auto rho = util::Ratio::from_double(opt.rho);
-  const snapshot::RunSpec spec = make_run_spec(opt, rho);
+/// The single run: build, autosave when asked, run, report.
+int run_single(const Options& opt) {
+  const double rho = opt.rhos.front();
+  const snapshot::RunSpec spec = make_run_spec(opt);
   std::unique_ptr<sim::Engine> engine;
   try {
     engine = snapshot::build_engine(spec);
@@ -1374,7 +1240,7 @@ int main(int argc, char** argv) {
       {{"protocol", opt.protocol},
        {"injected", engine->stats().injected_packets},
        {"delivered", engine->stats().delivered_packets}});
-  report_run(spec, opt.rho, engine->stats(), engine->channel_stats(),
+  report_run(spec, rho, engine->stats(), engine->channel_stats(),
              engine->trace().slots(), opt.json, opt.trace_units,
              &engine->energy_meter());
   if (saver && !saver->latest().empty())
@@ -1382,4 +1248,32 @@ int main(int argc, char** argv) {
               << " (continue: asyncmac_cli resume " << saver->latest()
               << ")\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "help") print_help();
+  const Command* cmd = &kCommands[0];
+  for (const Command& c : kCommands)
+    if (argc > 1 && !c.name.empty() && c.name == argv[1]) cmd = &c;
+  const int first = cmd == &kCommands[0] ? 1 : 2;
+  const Options opt = parse_args(*cmd, argc - first, argv + first);
+  // Telemetry on: all instruments, JSONL streamed to the file.
+  if (!opt.telemetry_path.empty() &&
+      !telemetry::enable_to_file(opt.telemetry_path))
+    usage("cannot write " + opt.telemetry_path);
+  switch (opt.mode) {
+    case kGrid: return run_experiment_grid(opt);
+    case kMsr: return run_msr(opt);
+    case kResume: return run_resume(opt);
+    case kFuzz: return run_fuzz(opt);
+    case kStats: return run_stats(opt);
+    case kServe:
+    case kServeFuzz: return run_serve(opt);
+    case kWorker: return run_worker(opt);
+    case kLiveServe: return run_live_serve(opt);
+    case kLiveStation: return run_live_station(opt);
+    default: return run_single(opt);
+  }
 }
