@@ -12,26 +12,6 @@ namespace {
 using snapshot::ErrorKind;
 using snapshot::SnapshotError;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 void encode_injections(snapshot::Writer& w,
                        const std::vector<InjectionDelta>& v) {
   w.u64(v.size());
@@ -117,7 +97,18 @@ bool known_type(std::uint8_t t) noexcept {
 }
 
 std::vector<std::uint8_t> encode(const Msg& m) {
+  // Header and payload share one buffer: the header goes in with zero
+  // length and CRC, which are patched in place once the payload is known.
+  // The reserve covers the largest fixed payload part (kWelcome's 44
+  // bytes) plus the name and injections, so the buffer is allocated once.
   snapshot::Writer w;
+  w.reserve(kDatagramHeaderBytes + 44 + m.name.size() +
+            16 * m.injections.size());
+  w.bytes(kDatagramMagic, sizeof(kDatagramMagic));
+  w.u32(kLiveWireVersion);
+  w.u8(static_cast<std::uint8_t>(m.type));
+  w.u64(0);  // payload length, patched below
+  w.u32(0);  // payload CRC, patched below
   switch (m.type) {
     case MsgType::kJoin:
       w.u32(m.station);
@@ -156,17 +147,13 @@ std::vector<std::uint8_t> encode(const Msg& m) {
       w.str(m.name);
       break;
   }
-  const std::vector<std::uint8_t>& payload = w.buffer();
-  AM_CHECK_MSG(payload.size() <= kMaxDatagramPayload, "live datagram too large");
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kDatagramHeaderBytes + payload.size());
-  out.insert(out.end(), kDatagramMagic, kDatagramMagic + 4);
-  put_u32(out, kLiveWireVersion);
-  out.push_back(static_cast<std::uint8_t>(m.type));
-  put_u64(out, payload.size());
-  put_u32(out, snapshot::crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> out = w.take();
+  const std::size_t payload_len = out.size() - kDatagramHeaderBytes;
+  AM_CHECK_MSG(payload_len <= kMaxDatagramPayload, "live datagram too large");
+  snapshot::store_le<std::uint64_t>(out.data() + 9, payload_len);
+  snapshot::store_le<std::uint32_t>(
+      out.data() + 17,
+      snapshot::crc32(out.data() + kDatagramHeaderBytes, payload_len));
   return out;
 }
 
@@ -175,7 +162,7 @@ Msg decode(const std::uint8_t* data, std::size_t size) {
     throw SnapshotError(ErrorKind::kTruncated, "datagram shorter than header");
   if (std::memcmp(data, kDatagramMagic, 4) != 0)
     throw SnapshotError(ErrorKind::kBadMagic, "not a live-channel datagram");
-  const std::uint32_t version = get_u32(data + 4);
+  const std::uint32_t version = snapshot::load_le<std::uint32_t>(data + 4);
   if (version != kLiveWireVersion)
     throw SnapshotError(ErrorKind::kBadVersion,
                         "live wire version " + std::to_string(version));
@@ -183,14 +170,14 @@ Msg decode(const std::uint8_t* data, std::size_t size) {
   if (!known_type(raw_type))
     throw SnapshotError(ErrorKind::kCorrupt,
                         "unknown message type " + std::to_string(raw_type));
-  const std::uint64_t len = get_u64(data + 9);
+  const std::uint64_t len = snapshot::load_le<std::uint64_t>(data + 9);
   if (len > kMaxDatagramPayload)
     throw SnapshotError(ErrorKind::kCorrupt, "payload length out of range");
   if (size != kDatagramHeaderBytes + len)
     throw SnapshotError(ErrorKind::kTruncated,
                         "datagram size does not match payload length");
   const std::uint8_t* payload = data + kDatagramHeaderBytes;
-  const std::uint32_t crc = get_u32(data + 17);
+  const std::uint32_t crc = snapshot::load_le<std::uint32_t>(data + 17);
   if (snapshot::crc32(payload, static_cast<std::size_t>(len)) != crc)
     throw SnapshotError(ErrorKind::kBadCrc, "payload checksum mismatch");
 

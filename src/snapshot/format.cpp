@@ -36,13 +36,12 @@ const char* to_string(FileKind k) noexcept {
 
 void write_file(const std::string& path, FileKind kind,
                 const std::vector<std::uint8_t>& payload) {
-  Writer frame;
-  frame.bytes(kMagic, sizeof(kMagic));
-  frame.u8(static_cast<std::uint8_t>(kind));
-  frame.u32(kFormatVersion);
-  frame.u64(payload.size());
-  frame.u32(crc32(payload.data(), payload.size()));
-  frame.bytes(payload.data(), payload.size());
+  std::uint8_t header[kHeaderSize];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  header[8] = static_cast<std::uint8_t>(kind);
+  store_le<std::uint32_t>(header + 9, kFormatVersion);
+  store_le<std::uint64_t>(header + 13, payload.size());
+  store_le<std::uint32_t>(header + 21, crc32(payload.data(), payload.size()));
 
   // Unique tmp name per call: re-truncating the same .tmp path on every
   // autosave makes ext4 wait on the previous write's dirty pages (~5x the
@@ -52,19 +51,29 @@ void write_file(const std::string& path, FileKind kind,
   static std::atomic<std::uint64_t> tmp_seq{0};
   const std::string tmp = path + "." +
                           std::to_string(tmp_seq.fetch_add(1)) + ".tmp";
-  {
-    File out;
-    out.f = std::fopen(tmp.c_str(), "wb");
-    if (!out.f)
-      throw SnapshotError(ErrorKind::kIo, errno_message("cannot open", tmp));
-    const auto& buf = frame.buffer();
-    if (std::fwrite(buf.data(), 1, buf.size(), out.f) != buf.size() ||
-        std::fflush(out.f) != 0)
-      throw SnapshotError(ErrorKind::kIo, errno_message("cannot write", tmp));
-  }
+  File out;
+  out.f = std::fopen(tmp.c_str(), "wb");
+  if (!out.f)
+    throw SnapshotError(ErrorKind::kIo, errno_message("cannot open", tmp));
+  // Every failure from here on owns a staging file: remove it, so failed
+  // autosaves do not litter the checkpoint directory.
+  const auto fail = [&](const std::string& what, const std::string& target) {
+    const std::string message = errno_message(what, target);
+    if (out.f) std::fclose(out.f);
+    out.f = nullptr;
+    std::remove(tmp.c_str());
+    throw SnapshotError(ErrorKind::kIo, message);
+  };
+  if (std::fwrite(header, 1, kHeaderSize, out.f) != kHeaderSize ||
+      (!payload.empty() && std::fwrite(payload.data(), 1, payload.size(),
+                                       out.f) != payload.size()) ||
+      std::fflush(out.f) != 0)
+    fail("cannot write", tmp);
+  const int closed = std::fclose(out.f);
+  out.f = nullptr;
+  if (closed != 0) fail("cannot write", tmp);
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw SnapshotError(ErrorKind::kIo,
-                        errno_message("cannot rename into", path));
+    fail("cannot rename into", path);
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path, FileKind kind) {

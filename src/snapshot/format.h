@@ -15,9 +15,10 @@
 // determinism is only guaranteed for snapshots written by the same
 // format, so there is no cross-version migration path by design.
 //
-// write_file is atomic: the frame is written to "<path>.tmp" and renamed
-// into place, so a crash mid-write never leaves a half-written file at
-// the target path (the stale .tmp is ignored by readers).
+// write_file is atomic: the frame is written to "<path>.<seq>.tmp" and
+// renamed into place, so a crash mid-write never leaves a half-written
+// file at the target path (a stale .tmp is ignored by readers). A write
+// that fails with an exception removes its staging file.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,7 @@ enum class FileKind : std::uint8_t {
 const char* to_string(FileKind k) noexcept;
 
 /// Frame `payload` and write it atomically (tmp file + rename). Throws
-/// SnapshotError(kIo) on any filesystem failure.
+/// SnapshotError(kIo) on any filesystem failure, leaving no staging file.
 void write_file(const std::string& path, FileKind kind,
                 const std::vector<std::uint8_t>& payload);
 

@@ -1,7 +1,6 @@
 #include "snapshot/io.h"
 
 #include <array>
-#include <cstring>
 
 namespace asyncmac::snapshot {
 
@@ -19,90 +18,49 @@ const char* to_string(ErrorKind k) noexcept {
 }
 
 namespace {
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+
+/// Slice-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+/// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so
+/// eight table lookups fold one 8-byte word into the running CRC.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int b = 0; b < 8; ++b)
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
 }
+
+constexpr auto kCrcTables = make_crc_tables();
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t crc) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   crc = ~crc;
-  for (std::size_t i = 0; i < len; ++i)
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    // load_le makes the word's low byte the first byte on any host, which
+    // is the order the reflected CRC consumes them in.
+    const std::uint32_t lo = load_le<std::uint32_t>(data) ^ crc;
+    const std::uint32_t hi = load_le<std::uint32_t>(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 
-void Writer::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void Writer::str(const std::string& s) {
-  u64(s.size());
-  bytes(s.data(), s.size());
-}
-
-void Writer::bytes(const void* p, std::size_t n) {
-  if (n == 0) return;  // p may be null for an empty span (vector::data())
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  buf_.insert(buf_.end(), b, b + n);
-}
-
-void Reader::need(std::size_t n) const {
-  if (remaining() < n)
-    throw SnapshotError(ErrorKind::kTruncated,
-                        "need " + std::to_string(n) + " bytes, have " +
-                            std::to_string(remaining()));
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return *p_++;
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(*p_++) << (8 * i);
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(*p_++) << (8 * i);
-  return v;
-}
-
-double Reader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+void Reader::throw_truncated(std::size_t n) const {
+  throw SnapshotError(ErrorKind::kTruncated,
+                      "need " + std::to_string(n) + " bytes, have " +
+                          std::to_string(remaining()));
 }
 
 bool Reader::boolean() {
@@ -122,13 +80,6 @@ std::string Reader::str() {
                 static_cast<std::size_t>(len));
   p_ += len;
   return s;
-}
-
-void Reader::bytes(void* out, std::size_t n) {
-  if (n == 0) return;  // out may be null for an empty span (vector::data())
-  need(n);
-  std::memcpy(out, p_, n);
-  p_ += n;
 }
 
 void Reader::expect_end() const {

@@ -9,19 +9,6 @@ namespace {
 using snapshot::ErrorKind;
 using snapshot::SnapshotError;
 
-std::uint32_t read_u32le(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t read_u64le(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 }  // namespace
 
 const char* to_string(MsgType t) noexcept {
@@ -92,17 +79,17 @@ std::optional<Frame> FrameDecoder::next() {
   // phantom payload length to "arrive".
   if (std::memcmp(h, kFrameMagic, sizeof(kFrameMagic)) != 0)
     poison(ErrorKind::kBadMagic, "frame does not start with AMWP");
-  const std::uint32_t version = read_u32le(h + 4);
+  const std::uint32_t version = snapshot::load_le<std::uint32_t>(h + 4);
   if (version != kWireVersion)
     poison(ErrorKind::kBadVersion,
            "frame written by a different wire-protocol version");
   const std::uint8_t type = h[8];
   if (!known_type(type))
     poison(ErrorKind::kCorrupt, "unknown message type in frame header");
-  const std::uint64_t len = read_u64le(h + 9);
+  const std::uint64_t len = snapshot::load_le<std::uint64_t>(h + 9);
   if (len > kMaxFramePayload)
     poison(ErrorKind::kCorrupt, "declared frame payload length is oversized");
-  const std::uint32_t crc = read_u32le(h + 17);
+  const std::uint32_t crc = snapshot::load_le<std::uint32_t>(h + 17);
 
   if (buffered() < kFrameHeaderBytes + len) return std::nullopt;
   const std::uint8_t* payload = h + kFrameHeaderBytes;

@@ -4,6 +4,8 @@
 // decode(), so every corruption class must surface as a catchable typed
 // error, never UB or an allocation bomb.
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +125,98 @@ TEST(LiveWire, FinRoundTrip) {
   const Msg d = decode(encode(m));
   EXPECT_FALSE(d.ok);
   EXPECT_EQ(d.name, "station 2 transmitted with an empty queue");
+}
+
+// ------------------------------------------------------------ pinned bytes
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// One datagram of each message type, every field set to a value whose
+/// bytes are distinct, so a reordered, resized or byte-swapped field
+/// changes the hex. The expected strings were recorded from the
+/// byte-at-a-time codec; any codec rewrite must reproduce them exactly.
+TEST(LiveWire, EveryMessageTypeMatchesPinnedBytes) {
+  Msg join;
+  join.type = MsgType::kJoin;
+  join.station = 0x01020304;
+  join.name = "st";
+
+  Msg welcome;
+  welcome.type = MsgType::kWelcome;
+  welcome.station = 2;
+  welcome.name = "ca-arrow";
+  welcome.n = 5;
+  welcome.bound_r = 3;
+  welcome.rng_seed = 0x1122334455667788ULL;
+  welcome.horizon_ticks = -2;
+  welcome.injections = {{0x0A0B0C0D, 0x10}, {-1, 0x0102}};
+
+  Msg boundary;
+  boundary.type = MsgType::kBoundary;
+  boundary.station = 7;
+  boundary.slot_index = 0x0102030405060708ULL;
+  boundary.action = SlotAction::kTransmitControl;
+
+  Msg grant;
+  grant.type = MsgType::kGrant;
+  grant.slot_index = 42;
+  grant.length = 3 * kTicksPerUnit;
+
+  Msg slot_end;
+  slot_end.type = MsgType::kSlotEnd;
+  slot_end.station = 0xFFFFFFFEu;
+  slot_end.slot_index = 1;
+
+  Msg feedback;
+  feedback.type = MsgType::kFeedback;
+  feedback.slot_index = 12;
+  feedback.feedback = Feedback::kAck;
+  feedback.delivered = true;
+  feedback.injections = {{55, kTicksPerUnit}};
+
+  Msg fin;
+  fin.type = MsgType::kFin;
+  fin.ok = true;
+  fin.name = "horizon";
+
+  const std::vector<std::pair<Msg, std::string>> cases = {
+      {join,
+        "414d4c4401000000010e000000000000006094e70f04030201020000"
+        "00000000007374"},
+      {welcome,
+        "414d4c44010000000254000000000000000e9fcb8b02000000080000"
+        "000000000063612d6172726f77050000000300000088776655443322"
+        "11feffffffffffffff02000000000000000d0c0b0a00000000100000"
+        "0000000000ffffffffffffffff0201000000000000"},
+      {boundary,
+        "414d4c4401000000030d000000000000007fc2a3e307000000080706"
+        "050403020102"},
+      {grant,
+        "414d4c440100000004100000000000000061c059f22a000000000000"
+        "00f0fd200000000000"},
+      {slot_end,
+        "414d4c4401000000050c000000000000000eb3f0a8feffffff010000"
+        "0000000000"},
+      {feedback,
+        "414d4c4401000000062200000000000000433e95770c000000000000"
+        "0002010100000000000000370000000000000050ff0a0000000000"},
+      {fin,
+        "414d4c440100000007100000000000000044b71c4c01070000000000"
+        "0000686f72697a6f6e"},
+  };
+  for (const auto& [msg, want] : cases) {
+    const std::vector<std::uint8_t> bytes = encode(msg);
+    EXPECT_EQ(hex(bytes), want) << to_string(msg.type);
+    EXPECT_EQ(encode(decode(bytes)), bytes) << to_string(msg.type);
+  }
 }
 
 // ------------------------------------------------------- malformed input
