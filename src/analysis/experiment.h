@@ -42,12 +42,13 @@ struct ExperimentSpec {
   /// parameters (rho) are grouped into cohorts of up to this many lanes
   /// and stepped together through sim::CohortEngine — with a single slot
   /// policy a whole rho x seed grid row batches, not just the seed
-  /// replicas of one cell (configurations the fast path cannot take fall
-  /// back to scalar engines inside the cohort). 0 = auto (min(8, cells
-  /// per batchable block)); 1 = one scalar engine per cell, the
-  /// pre-cohort behavior. Records are byte-identical for every value —
-  /// the cohort engine's contract — so cohort, like jobs, is an
-  /// execution knob and not part of the spec fingerprint.
+  /// replicas of one cell. It applies only to blocks that can run in
+  /// lockstep (sim::lockstep_blocker: ca-arrow with fixed-length slots);
+  /// every other cell runs as its own scalar engine whatever the value.
+  /// 0 = auto (min(8, cells per batchable block)); 1 = one scalar engine
+  /// per cell, the pre-cohort behavior. Records are byte-identical for
+  /// every value — the cohort engine's contract — so cohort, like jobs,
+  /// is an execution knob and not part of the spec fingerprint.
   unsigned cohort = 0;
   /// k-restrained channel for every cell (channel/transmission.h): at most
   /// k transmissions on the air at once; k = 0 is unrestrained.

@@ -118,13 +118,22 @@ GridPlan plan_grid(const ExperimentSpec& spec) {
   // contiguous block of cells sharing protocol, n, R and policy (see
   // chunk_block — with one slot policy a block is a whole rho x seed grid
   // row, so lanes of one cohort may differ in injector parameters, not
-  // just seed). A unit is [first, first + count) in cell order.
+  // just seed). A block whose first cell cannot run in lockstep gets
+  // width-1 units: a cohort of it would only hold scalar engines. A unit
+  // is [first, first + count) in cell order.
   const unsigned cohort_width = grid_cohort_width(spec);
   const std::size_t block = chunk_block(spec);
-  for (std::size_t base = 0; base < plan.cells.size(); base += block)
-    for (std::size_t s = 0; s < block; s += cohort_width)
-      plan.units.push_back(
-          {base + s, std::min<std::size_t>(cohort_width, block - s)});
+  for (std::size_t base = 0; base < plan.cells.size(); base += block) {
+    std::size_t width = 1;
+    if (cohort_width > 1 && block > 1) {
+      const sim::LockstepBlocker why = sim::lockstep_blocker(
+          snapshot::build_materials(cell_run_spec(spec, plan.cells[base])));
+      sim::count_ineligible(why);
+      if (why == sim::LockstepBlocker::kNone) width = cohort_width;
+    }
+    for (std::size_t s = 0; s < block; s += width)
+      plan.units.push_back({base + s, std::min(width, block - s)});
+  }
   return plan;
 }
 

@@ -38,9 +38,10 @@ struct GridCell {
 /// A contiguous run [first, first + count) of cells forming one work
 /// unit. All cells of a unit share protocol, n, R and slot policy —
 /// everything cohort eligibility needs — and differ only in seed and
-/// injector parameters (rho), so a unit batches as one sim::CohortEngine
-/// cohort. With a single slot policy in the spec, a unit may span the
-/// rho values of one grid row, not just the seed replicas of one cell.
+/// injector parameters (rho), so a multi-cell unit batches as one
+/// lockstep sim::CohortEngine cohort. With a single slot policy in the
+/// spec, a unit may span the rho values of one grid row, not just the
+/// seed replicas of one cell.
 struct GridUnit {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -52,14 +53,17 @@ struct GridPlan {
 };
 
 /// Enumerate the cross product and chunk it into cohort-width units
-/// (grid_cohort_width). Validates the spec the same way run_grid does
-/// (throws std::invalid_argument).
+/// (grid_cohort_width). Builds the first cell of each block once to ask
+/// sim::lockstep_blocker; blocks that cannot run in lockstep get width-1
+/// units for every cohort value, so ineligible cells never run inside a
+/// cohort. Validates the spec the same way run_grid does and rejects
+/// unknown protocol or policy names (throws std::invalid_argument).
 GridPlan plan_grid(const ExperimentSpec& spec);
 
-/// The effective cohort width: spec.cohort when set, otherwise
-/// min(8, cells-per-chunkable-block) — with a single slot policy the
-/// block is a whole rho x seed grid row, else the seed replicas of one
-/// cell.
+/// The effective cohort width of lockstep-eligible blocks: spec.cohort
+/// when set, otherwise min(8, cells-per-chunkable-block) — with a single
+/// slot policy the block is a whole rho x seed grid row, else the seed
+/// replicas of one cell.
 unsigned grid_cohort_width(const ExperimentSpec& spec);
 
 /// CRC over the sweep-defining dimensions (not jobs / cohort /

@@ -973,6 +973,53 @@ struct CohortEngine::Impl {
   }
 };
 
+LockstepBlocker lockstep_blocker(const LaneMaterials& m) {
+  const EngineConfig& c = m.cfg;
+  if (m.protocols.size() != c.n ||
+      !std::all_of(m.protocols.begin(), m.protocols.end(),
+                   [](const auto& p) {
+                     return p != nullptr && p->name() == kLaneizedProtocol;
+                   }))
+    return LockstepBlocker::kProtocol;
+  if (m.slot_policy == nullptr) return LockstepBlocker::kSlotPolicy;
+  const Tick max_ticks = static_cast<Tick>(c.bound_r) * kTicksPerUnit;
+  for (std::uint32_t s = 1; s <= c.n; ++s) {
+    const Tick len = m.slot_policy->fixed_length(s);
+    if (len < kTicksPerUnit || len > max_ticks)
+      return LockstepBlocker::kSlotPolicy;
+  }
+  // Lane snapshots splice an empty policy section, so the policy must
+  // carry no snapshot state.
+  snapshot::Writer probe;
+  m.slot_policy->save_state(probe);
+  if (!probe.buffer().empty()) return LockstepBlocker::kSlotPolicy;
+  if (c.checkpoint_interval != 0 || c.checkpoint_sink)
+    return LockstepBlocker::kCheckpoint;
+  return LockstepBlocker::kNone;
+}
+
+void count_ineligible(LockstepBlocker why) {
+  static auto& protocol =
+      telemetry::Registry::global().counter("cohort.ineligible.protocol");
+  static auto& slot_policy =
+      telemetry::Registry::global().counter("cohort.ineligible.slot_policy");
+  static auto& checkpoint =
+      telemetry::Registry::global().counter("cohort.ineligible.checkpoint");
+  switch (why) {
+    case LockstepBlocker::kNone:
+      return;
+    case LockstepBlocker::kProtocol:
+      protocol.add();
+      return;
+    case LockstepBlocker::kSlotPolicy:
+      slot_policy.add();
+      return;
+    case LockstepBlocker::kCheckpoint:
+      checkpoint.add();
+      return;
+  }
+}
+
 CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
     : impl_(std::make_unique<Impl>()) {
   AM_REQUIRE(!builders.empty(), "cohort needs at least one lane");
@@ -987,44 +1034,32 @@ CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
   }
 
   // ---- fast-path eligibility, decided for the whole cohort ----
-  // Shared facets must agree across lanes (seeds and injectors are free);
-  // the protocol must be the lane-ized automaton; every station's slot
-  // length must be fixed and identical across lanes (that is what makes
-  // the event schedule shareable); no checkpointing, and the slot policy
-  // must be snapshot-stateless (its save_state writes nothing) so lane
-  // snapshots can splice an empty policy section.
+  // Every lane must pass the per-lane predicate (lockstep_blocker); on top
+  // of that the shared facets must agree across lanes (seeds and injectors
+  // are free), including every station's fixed slot length — that is what
+  // makes the event schedule shareable.
   const EngineConfig& c0 = mats[0].cfg;
   bool eligible = c0.n >= 1 && c0.bound_r >= 1 && c0.prune_interval >= 1;
   const Tick max_ticks = static_cast<Tick>(c0.bound_r) * kTicksPerUnit;
   std::vector<Tick> lengths;
   for (const LaneMaterials& m : mats) {
     const EngineConfig& c = m.cfg;
-    eligible = eligible && c.n == c0.n && c.bound_r == c0.bound_r &&
+    eligible = eligible && lockstep_blocker(m) == LockstepBlocker::kNone &&
+               c.n == c0.n && c.bound_r == c0.bound_r &&
                c.keep_channel_history == c0.keep_channel_history &&
                c.record_trace == c0.record_trace &&
                c.record_deliveries == c0.record_deliveries &&
                c.allow_control == c0.allow_control &&
                c.prune_interval == c0.prune_interval &&
-               c.restrained == c0.restrained && c.energy == c0.energy &&
-               c.checkpoint_interval == 0 && !c.checkpoint_sink &&
-               m.slot_policy != nullptr && m.protocols.size() == c.n;
-    if (!eligible) break;
-    for (const auto& p : m.protocols)
-      eligible = eligible && p != nullptr && p->name() == kLaneizedProtocol;
+               c.restrained == c0.restrained && c.energy == c0.energy;
     if (!eligible) break;
     std::vector<Tick> lane_lengths(c.n);
-    for (std::uint32_t s = 1; s <= c.n; ++s) {
-      const Tick len = m.slot_policy->fixed_length(s);
-      eligible = eligible && len >= kTicksPerUnit && len <= max_ticks;
-      lane_lengths[s - 1] = len;
-    }
-    snapshot::Writer probe;
-    m.slot_policy->save_state(probe);
-    eligible = eligible && probe.buffer().empty();
+    for (std::uint32_t s = 1; s <= c.n; ++s)
+      lane_lengths[s - 1] = m.slot_policy->fixed_length(s);
     if (lengths.empty())
       lengths = std::move(lane_lengths);
     else
-      eligible = eligible && lane_lengths == lengths;
+      eligible = lane_lengths == lengths;
     if (!eligible) break;
   }
 

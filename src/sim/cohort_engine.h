@@ -26,17 +26,27 @@
 // a per-lane EngineView at the shared event times, under the same
 // next_arrival_hint skip-ahead contract as the scalar engine).
 //
+// Eligibility has one definition, in two halves. lockstep_blocker() is
+// the per-lane half: the lane-ized protocol, fixed slot lengths in
+// [1, R] units, a slot policy that saves no snapshot state, and no
+// checkpointing. The constructor adds the cross-lane half: the shared
+// configuration (n, R, recording, channel variant) and every station's
+// slot length must agree across lanes. Library callers ask
+// lockstep_blocker() before they build a cohort, so ineligible work never
+// reaches one: analysis::plan_grid gives ineligible grid blocks width-1
+// units, and the fuzz campaign checks ineligible cases with a re-run and
+// a snapshot resume instead (verify/campaign.h).
+//
 // Determinism contract — byte-identity by construction: a lane's state is
 // at all times exactly the state the scalar Engine would have after the
 // same events, and save_lane_state() writes Engine::save_state's byte
-// layout. Cohorts that cannot take the fast path (other protocols,
-// variable-length slot policies, checkpoint sinks, mismatched lane
-// configurations) fall back transparently to one scalar Engine per lane;
-// lanes that hit a runtime slow path (a StopCondition predicate, or the
-// caller asking for engine(k)) detach to a scalar Engine via the snapshot
-// path and continue bit-for-bit. Tests pin byte-identity of lane
-// snapshots against scalar runs across the golden corpus, generated
-// scenarios and randomized K/seed sweeps.
+// layout. A cohort that is built anyway from lanes that fail either half
+// falls back transparently to one scalar Engine per lane; lanes that hit
+// a runtime slow path (a StopCondition predicate, or the caller asking
+// for engine(k)) detach to a scalar Engine via the snapshot path and
+// continue bit-for-bit. Tests pin byte-identity of lane snapshots
+// against scalar runs across the golden corpus, generated scenarios and
+// randomized K/seed sweeps.
 #pragma once
 
 #include <cstdint>
@@ -64,12 +74,32 @@ struct LaneMaterials {
 /// Engine (the fresh engine is then overwritten via load_state).
 using LaneBuilder = std::function<LaneMaterials()>;
 
+/// Why one lane cannot run in a lockstep cohort (kNone: it can).
+enum class LockstepBlocker : std::uint8_t {
+  kNone,
+  kProtocol,    ///< not the lane-ized automaton on every station
+  kSlotPolicy,  ///< a slot length not fixed in [1, R] units, or policy state
+  kCheckpoint,  ///< checkpoint_interval or checkpoint_sink set
+};
+
+/// The per-lane half of lockstep eligibility: the first condition the
+/// lane's materials fail, in the enum's order. A cohort takes the lockstep
+/// path iff every lane returns kNone and the lanes agree (see the header
+/// comment). Pure; builds nothing.
+LockstepBlocker lockstep_blocker(const LaneMaterials& m);
+
+/// Bump the cohort.ineligible.{protocol,slot_policy,checkpoint} telemetry
+/// counter for `why` (no-op for kNone). Called where a caller decides not
+/// to build a cohort.
+void count_ineligible(LockstepBlocker why);
+
 class CohortEngine {
  public:
   /// One builder per lane; at least one lane. Decides the lockstep fast
   /// path for the whole cohort at construction (see lockstep()); cohorts
   /// that do not qualify hold one scalar Engine per lane instead and
-  /// behave identically, just without the batching win.
+  /// behave identically, just without the batching win — callers that
+  /// ask lockstep_blocker() first never build one.
   explicit CohortEngine(std::vector<LaneBuilder> builders);
   ~CohortEngine();
 

@@ -83,7 +83,12 @@ Coordinator::Coordinator(CoordinatorConfig cfg)
 std::vector<Action> Coordinator::on_connect(std::uint64_t conn,
                                             std::uint64_t /*now_ms*/) {
   conns_.emplace(conn, Conn{});
-  return {};
+  std::vector<Action> out;
+  // A worker that connects after the job completed is dismissed at once,
+  // in the first frame it reads (every earlier connection already got its
+  // Shutdown), so it never has to outlast the transport's drain deadline.
+  if (done()) broadcast_shutdown(out);
+  return out;
 }
 
 std::vector<Action> Coordinator::on_bytes(std::uint64_t conn,
@@ -148,6 +153,9 @@ std::vector<Action> Coordinator::handle(std::uint64_t conn, const Message& msg,
   if (const auto* hello = std::get_if<HelloMsg>(&msg)) {
     (void)hello;
     if (c.worker_id != 0) return sever(conn, "duplicate hello");
+    // A connection is dismissed at connect time or when the job
+    // completes (on_connect, broadcast_shutdown); it gets no Welcome.
+    if (c.shutdown_sent) return out;
     c.worker_id = ++next_worker_id_;
     WelcomeMsg w;
     w.worker_id = c.worker_id;
@@ -155,15 +163,6 @@ std::vector<Action> Coordinator::handle(std::uint64_t conn, const Message& msg,
     w.lease_timeout_ms = cfg_.lease_timeout_ms;
     w.job = cfg_.job;
     push_send(out, conn, to_frame(w));
-    // A worker joining a finished sweep gets its dismissal in the same
-    // flush — it must not have to survive another round trip against
-    // the transport's drain deadline.
-    if (done() && !c.shutdown_sent) {
-      ShutdownMsg bye;
-      bye.reason = "complete";
-      c.shutdown_sent = true;
-      push_send(out, conn, to_frame(bye));
-    }
     return out;
   }
   if (c.worker_id == 0) return sever(conn, "message before hello");

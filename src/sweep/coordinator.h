@@ -134,7 +134,8 @@ class Coordinator {
   /// Sever a misbehaving connection: revoke + close + forget.
   std::vector<Action> sever(std::uint64_t conn, const char* why);
   std::vector<Action> drop_conn(std::uint64_t conn, bool death);
-  /// Broadcast Shutdown once the last unit merges.
+  /// Send Shutdown to every connection that has not had one: once the
+  /// last unit merges, and to each connection that arrives after that.
   void broadcast_shutdown(std::vector<Action>& out);
   void write_manifest() const;
 

@@ -7,7 +7,9 @@
 // events between them and the kernel.
 //
 //   serve()      binds, accepts workers, drives a Coordinator until the
-//                job completes, and returns the merged results. Blocking;
+//                job completes, keeps serving for a 3 s drain grace (a
+//                worker that connects late gets Shutdown, not a refused
+//                connection), and returns the merged results. Blocking;
 //                single-threaded poll() loop.
 //   run_worker() connects to a coordinator and computes leased units
 //                until Shutdown. Blocking; returns a process exit code.

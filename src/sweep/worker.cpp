@@ -112,7 +112,16 @@ std::vector<std::vector<std::uint8_t>> WorkerSession::handle(
     heartbeat_ms_ = welcome->heartbeat_ms == 0 ? 1000 : welcome->heartbeat_ms;
     job_ = welcome->job;
     fingerprint_ = job_fingerprint(job_);
-    if (job_.kind == JobKind::kGrid) plan_ = analysis::plan_grid(job_.grid);
+    if (job_.kind == JobKind::kGrid) {
+      // Planning builds a cell per block (lockstep eligibility), so an
+      // unknown protocol or policy name surfaces here.
+      try {
+        plan_ = analysis::plan_grid(job_.grid);
+      } catch (const std::exception& e) {
+        fail(std::string("cannot plan the grid: ") + e.what());
+        return out;
+      }
+    }
     next_heartbeat_ms_ = now_ms + heartbeat_ms_;
     RequestWorkMsg req;
     req.worker_id = worker_id_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 
 #include "snapshot/format.h"
@@ -98,14 +99,24 @@ void clamp_to_stations(Scenario& s) {
   }
 }
 
-}  // namespace
+trace::CheckResult state_mismatch(const std::string& what,
+                                  const std::vector<std::uint8_t>& got,
+                                  const std::vector<std::uint8_t>& want) {
+  std::ostringstream os;
+  os << what << ": state snapshots differ (" << got.size() << " vs "
+     << want.size() << " bytes)";
+  return {false, os.str()};
+}
 
-namespace {
+std::unique_ptr<sim::Engine> engine_from(sim::LaneMaterials m) {
+  return std::make_unique<sim::Engine>(std::move(m.cfg), std::move(m.protocols),
+                                       std::move(m.slot_policy),
+                                       std::move(m.injection));
+}
 
-/// Differential oracle for the batched cohort engine: replay the scenario
-/// as a lane of a sim::CohortEngine (whatever path the cohort picks —
-/// lockstep for lane-ized protocol/policy combinations, scalar fallback
-/// otherwise) and demand the full state snapshot equal the scalar
+/// Differential oracle for the batched cohort engine, for scenarios that
+/// take the lockstep path: replay the scenario as lane 0 of a
+/// sim::CohortEngine and demand the full state snapshot equal the scalar
 /// engine's, byte for byte. Lane 1 rides along with a different seed (the
 /// Monte Carlo shape cohorts exist for); lane 2 replays the scenario with
 /// a mid-horizon stop and resumes, covering retirement + materialization
@@ -113,11 +124,9 @@ namespace {
 /// injector *parameters* (halved rho, longer bursts) and must match its
 /// own scalar twin — the lane-varying-parameter shape analysis::run_grid
 /// batches whole grid rows with.
-trace::CheckResult check_cohort_equivalence(const Scenario& s,
-                                            const sim::Engine& scalar) {
-  snapshot::Writer scalar_bytes;
-  scalar.save_state(scalar_bytes);
-
+trace::CheckResult check_lockstep_cohort(const Scenario& s,
+                                         const sim::LaneBuilder& build,
+                                         const snapshot::Writer& scalar) {
   // Same protocol/policy/seed, different injector parameters: legal for
   // every injector kind (rho only shrinks, bursts only lengthen).
   Scenario varied = s;
@@ -128,10 +137,10 @@ trace::CheckResult check_cohort_equivalence(const Scenario& s,
   run_scenario(varied)->save_state(varied_bytes);
 
   std::vector<sim::LaneBuilder> builders;
-  builders.push_back([s] { return scenario_materials(s); });
+  builders.push_back(build);
   builders.push_back(
       [s, seed = s.seed + 1] { return scenario_materials(s, seed); });
-  builders.push_back([s] { return scenario_materials(s); });
+  builders.push_back(build);
   builders.push_back([varied] { return scenario_materials(varied); });
   sim::CohortEngine cohort(std::move(builders));
 
@@ -143,7 +152,7 @@ trace::CheckResult check_cohort_equivalence(const Scenario& s,
 
   for (const std::size_t lane :
        {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-    const auto& want = lane == 3 ? varied_bytes : scalar_bytes;
+    const auto& want = lane == 3 ? varied_bytes : scalar;
     snapshot::Writer lane_bytes;
     cohort.save_lane_state(lane, lane_bytes);
     if (lane_bytes.buffer() != want.buffer()) {
@@ -152,14 +161,66 @@ trace::CheckResult check_cohort_equivalence(const Scenario& s,
          << (cohort.lockstep() ? "lockstep" : "scalar-fallback")
          << (lane == 2 ? ", retired mid-run and resumed" : "")
          << (lane == 3 ? ", param-varied injector" : "")
-         << ") diverged from the scalar engine: state snapshots differ ("
-         << lane_bytes.buffer().size() << " vs " << want.buffer().size()
-         << " bytes)";
-      return {false, os.str()};
+         << ") diverged from the scalar engine";
+      return state_mismatch(os.str(), lane_bytes.buffer(), want.buffer());
     }
   }
   return {};
 }
+
+/// The same properties for scenarios no lockstep cohort can take, checked
+/// directly: determinism (a full re-run) and resume (a fresh engine stops
+/// at horizon/2, its state round-trips through save_state/load_state into
+/// a second fresh engine, which runs on to the horizon).
+trace::CheckResult check_rerun_and_resume(const sim::LaneBuilder& build,
+                                          Tick horizon,
+                                          const snapshot::Writer& first) {
+  {
+    const auto rerun = engine_from(build());
+    rerun->run(sim::until(horizon));
+    snapshot::Writer bytes;
+    rerun->save_state(bytes);
+    if (bytes.buffer() != first.buffer())
+      return state_mismatch("re-run diverged from the first run",
+                            bytes.buffer(), first.buffer());
+  }
+  snapshot::Writer half;
+  {
+    const auto stopped = engine_from(build());
+    stopped->run(sim::until(horizon / 2));
+    stopped->save_state(half);
+  }
+  const auto resumed = engine_from(build());
+  snapshot::Reader r(half.buffer());
+  resumed->load_state(r);
+  r.expect_end();
+  resumed->run(sim::until(horizon));
+  snapshot::Writer bytes;
+  resumed->save_state(bytes);
+  if (bytes.buffer() != first.buffer())
+    return state_mismatch(
+        "resume from a mid-horizon snapshot diverged from the "
+        "uninterrupted run",
+        bytes.buffer(), first.buffer());
+  return {};
+}
+
+}  // namespace
+
+trace::CheckResult check_engine_state(const Scenario& s,
+                                      const sim::LaneBuilder& build,
+                                      const sim::Engine& first) {
+  snapshot::Writer first_bytes;
+  first.save_state(first_bytes);
+  const sim::LockstepBlocker why = sim::lockstep_blocker(build());
+  sim::count_ineligible(why);
+  if (why == sim::LockstepBlocker::kNone)
+    return check_lockstep_cohort(s, build, first_bytes);
+  return check_rerun_and_resume(build, s.horizon_units * kTicksPerUnit,
+                                first_bytes);
+}
+
+namespace {
 
 trace::CheckResult run_case_impl(const Scenario& s, const CaseCheck& extra) {
   try {
@@ -181,7 +242,8 @@ trace::CheckResult run_case_impl(const Scenario& s, const CaseCheck& extra) {
       if (auto r = trace::check_cyclic_turn_order(txs, s.n); !r) return r;
     }
 
-    if (auto r = check_cohort_equivalence(s, *engine); !r) return r;
+    const sim::LaneBuilder build = [s] { return scenario_materials(s); };
+    if (auto r = check_engine_state(s, build, *engine); !r) return r;
 
     if (extra) {
       if (auto r = extra(s, *engine); !r) return r;

@@ -60,12 +60,30 @@ struct CampaignConfig {
 /// Run one scenario and check everything: slot contiguity, feedback
 /// consistency (Ledger replay), the reference-channel differential
 /// oracle, the prune-with-history ledger cross-check, CA-ARRoW's
-/// collision-freedom and cyclic turn order when applicable, and the
-/// optional extra check. An exception escaping the engine (a tripped
+/// collision-freedom and cyclic turn order when applicable, the engine
+/// state checks (check_engine_state), and the optional extra check. An exception escaping the engine (a tripped
 /// AM_CHECK) is reported as a failing result, not propagated — a fuzzer
 /// must survive the bugs it finds.
 trace::CheckResult run_case(const Scenario& s,
                             const CaseCheck& extra = nullptr);
+
+/// The engine-state checks of run_case. `first` is the engine built from
+/// `build()` (s's materials) and run to s's horizon; every check compares
+/// a full save_state snapshot with first's, byte for byte. Which checks
+/// run depends on sim::lockstep_blocker(build()), whose reason is counted
+/// into the cohort.ineligible.* telemetry:
+///  - lockstep-eligible (ca-arrow with sync/max/perstation slots): a
+///    4-lane sim::CohortEngine. Lane 0 replays s; lane 1 runs another
+///    seed and is not compared; lane 2 stops at horizon/2, retires and
+///    resumes; lane 3 runs s with halved rho and longer bursts and is
+///    compared with its own scalar run.
+///  - otherwise: (1) a full re-run from build() (determinism); (2) a fresh
+///    engine runs to horizon/2, its save_state bytes load into a second
+///    fresh engine, and that engine runs to the horizon (resume through
+///    the snapshot codec).
+trace::CheckResult check_engine_state(const Scenario& s,
+                                      const sim::LaneBuilder& build,
+                                      const sim::Engine& first);
 
 struct CaseVerdict {
   std::uint64_t index = 0;      ///< 0-based case index in the campaign

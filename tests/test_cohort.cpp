@@ -69,12 +69,10 @@ sim::LaneBuilder golden_builder(const EngineGoldenCase& c,
   return [c, engine_seed] { return golden_materials(c, engine_seed); };
 }
 
-/// Fixed-length slot policies with the lane-ized protocol take the
-/// lockstep fast path; everything else falls back to scalar engines.
+/// The shared eligibility predicate on a golden case's own materials.
 bool expect_lockstep(const EngineGoldenCase& c) {
-  return c.protocol == "ca-arrow" &&
-         (c.slot_policy == "sync" || c.slot_policy == "max" ||
-          c.slot_policy == "perstation");
+  return sim::lockstep_blocker(golden_materials(c, c.seed)) ==
+         sim::LockstepBlocker::kNone;
 }
 
 /// An always-eligible configuration for the lockstep-specific tests.
@@ -428,6 +426,69 @@ TEST(Cohort, CheckpointConfigFallsBack) {
   auto ref = engine_from(lane());
   ref->run(sim::until(100 * kTicksPerUnit));
   EXPECT_EQ(lane_bytes(cohort, 0), engine_bytes(*ref));
+}
+
+// lockstep_blocker is the per-lane half of the constructor's decision:
+// for lanes that agree with each other (here: one scenario at two engine
+// seeds), the cohort runs in lockstep exactly when the predicate says so,
+// across the golden corpus and every protocol, policy and injector the
+// scenario generator draws.
+TEST(CohortEligibility, PredicateMatchesLockstepAcrossCorpusAndScenarios) {
+  for (const EngineGoldenCase& c : testing::engine_golden_cases()) {
+    std::vector<sim::LaneBuilder> builders;
+    builders.push_back(golden_builder(c, c.seed));
+    builders.push_back(golden_builder(c, c.seed + 37));
+    const sim::CohortEngine cohort(std::move(builders));
+    EXPECT_EQ(cohort.lockstep(), expect_lockstep(c)) << c.name;
+  }
+
+  const verify::ScenarioGen gen(0xE1161u);
+  std::size_t eligible = 0;
+  std::size_t ineligible = 0;
+  for (std::uint64_t index = 0; index < 300; ++index) {
+    const verify::Scenario s = gen.generate(index);
+    const bool predicted =
+        sim::lockstep_blocker(verify::scenario_materials(s)) ==
+        sim::LockstepBlocker::kNone;
+    std::vector<sim::LaneBuilder> builders;
+    builders.push_back([s] { return verify::scenario_materials(s); });
+    builders.push_back(
+        [s] { return verify::scenario_materials(s, s.seed + 1); });
+    const sim::CohortEngine cohort(std::move(builders));
+    EXPECT_EQ(cohort.lockstep(), predicted) << s.describe();
+    ++(predicted ? eligible : ineligible);
+  }
+  EXPECT_GT(eligible, 0u);
+  EXPECT_GT(ineligible, 0u);
+}
+
+// The predicate names the first condition a lane fails, in the order
+// protocol, slot policy, checkpointing.
+TEST(CohortEligibility, PredicateNamesTheFirstFailingCondition) {
+  using sim::LockstepBlocker;
+  EXPECT_EQ(sim::lockstep_blocker(eligible_materials(1)),
+            LockstepBlocker::kNone);
+
+  sim::LaneMaterials m = eligible_materials(1);
+  m.protocols = analysis::make_protocols("rrw", m.cfg.n);
+  EXPECT_EQ(sim::lockstep_blocker(m), LockstepBlocker::kProtocol);
+  m.cfg.checkpoint_interval = 64;  // protocol still reported first
+  EXPECT_EQ(sim::lockstep_blocker(m), LockstepBlocker::kProtocol);
+
+  for (const char* policy : {"cyclic", "random", "stretch-tx"}) {
+    m = eligible_materials(1);
+    m.slot_policy = adversary::make_slot_policy(policy, m.cfg.n, 3, 1);
+    m.cfg.checkpoint_interval = 64;
+    EXPECT_EQ(sim::lockstep_blocker(m), LockstepBlocker::kSlotPolicy)
+        << policy;
+  }
+
+  m = eligible_materials(1);
+  m.cfg.checkpoint_interval = 64;
+  EXPECT_EQ(sim::lockstep_blocker(m), LockstepBlocker::kCheckpoint);
+  m = eligible_materials(1);
+  m.cfg.checkpoint_sink = [](const sim::Engine&) {};
+  EXPECT_EQ(sim::lockstep_blocker(m), LockstepBlocker::kCheckpoint);
 }
 
 TEST(Cohort, RejectsEmptyAndLaneIndexOutOfRange) {

@@ -200,8 +200,8 @@ TEST(Experiment, CohortTimesJobsMatrixIsByteIdentical) {
   // The cohort guarantee stacked on the jobs guarantee: the records (and
   // the CSV rendered from them) are byte-identical for every (cohort,
   // jobs) combination. ca-arrow/perstation takes the lockstep fast path,
-  // rrw falls back to scalar engines inside the cohort — both must agree
-  // with cohort=1 (the pre-cohort scalar sweep). seeds=7 with cohort=3
+  // rrw runs one scalar engine per cell whatever the cohort value — both
+  // must agree with cohort=1 (the pre-cohort scalar sweep). seeds=7 with cohort=3
   // exercises partial trailing units; staggered saturation across seeds
   // exercises mid-cohort divergence of lane queues.
   ExperimentSpec spec;
@@ -234,6 +234,61 @@ TEST(Experiment, CohortTimesJobsMatrixIsByteIdentical) {
     for (unsigned jobs : {1u, 4u})
       EXPECT_EQ(reference, csv_bytes(cohort, jobs))
           << "cohort=" << cohort << " jobs=" << jobs;
+}
+
+// Blocks the lockstep path cannot take (rrw and ao-arrow: protocol;
+// ca-arrow under cyclic slots: slot policy) get width-1 units for every
+// cohort value; ca-arrow under fixed-length slots chunks at the width.
+TEST(Experiment, PlanGridGivesIneligibleBlocksWidthOne) {
+  ExperimentSpec spec;
+  spec.protocols = {"ao-arrow", "ca-arrow", "rrw"};
+  spec.station_counts = {3};
+  spec.bounds_r = {2};
+  spec.rho_percents = {40, 70};
+  spec.slot_policies = {"perstation", "cyclic"};
+  spec.seeds = 5;
+  for (unsigned cohort : {0u, 1u, 3u, 8u}) {
+    spec.cohort = cohort;
+    const GridPlan plan = plan_grid(spec);
+    const std::size_t width = grid_cohort_width(spec);
+    std::size_t covered = 0;
+    for (const GridUnit& u : plan.units) {
+      const GridCell& c = plan.cells[u.first];
+      const bool lockstep =
+          c.protocol == "ca-arrow" && c.slot_policy == "perstation";
+      EXPECT_EQ(u.first, covered);
+      if (lockstep && width > 1)
+        EXPECT_GT(u.count, 1u) << "cohort=" << cohort;
+      else
+        EXPECT_EQ(u.count, 1u) << c.protocol << "/" << c.slot_policy
+                               << " cohort=" << cohort;
+      covered += u.count;
+    }
+    EXPECT_EQ(covered, plan.cells.size());
+  }
+}
+
+// A grid mixing lockstep and scalar blocks gives byte-identical records
+// in auto cohort mode and with one scalar engine per cell.
+TEST(Experiment, MixedProtocolGridIsByteIdenticalAcrossCohortModes) {
+  ExperimentSpec spec;
+  spec.protocols = {"ao-arrow", "ca-arrow", "rrw"};
+  spec.station_counts = {3};
+  spec.bounds_r = {1, 2};
+  spec.rho_percents = {40, 70};
+  spec.slot_policies = {"perstation"};
+  spec.horizon_units = 1500;
+  spec.seeds = 3;
+  spec.jobs = 2;
+  auto record_bytes = [&](unsigned cohort) {
+    spec.cohort = cohort;
+    snapshot::Writer w;
+    for (const ExperimentRecord& rec : run_grid(spec)) save_record(w, rec);
+    return w.take();
+  };
+  const auto scalar = record_bytes(1);
+  ASSERT_FALSE(scalar.empty());
+  EXPECT_EQ(record_bytes(0), scalar);
 }
 
 TEST(Experiment, CohortResumesPartialManifest) {

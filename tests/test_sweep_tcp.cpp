@@ -111,6 +111,37 @@ TEST(SweepTcp, WorkerAfterCompletionGetsCleanShutdown) {
   EXPECT_EQ(encode_grid_result(outcome.records), encode_grid_result(control));
 }
 
+// A worker that connects only after the coordinator is done must be
+// dismissed with Shutdown and exit 0, not be refused. The first worker
+// returns only after its Shutdown, which the coordinator sends only once
+// the job is complete, so the second connect is late by construction.
+TEST(SweepTcp, WorkerConnectingAfterDoneExitsCleanly) {
+  auto spec = small_spec();
+  spec.rho_percents = {50};
+
+  CoordinatorConfig cfg;
+  cfg.job.kind = JobKind::kGrid;
+  cfg.job.grid = spec;
+
+  std::promise<std::uint16_t> port_promise;
+  auto port_future = port_promise.get_future();
+  ServeOptions opt;
+  opt.coord = cfg;
+  opt.tick_ms = 20;
+  opt.on_listening = [&](std::uint16_t p) { port_promise.set_value(p); };
+
+  ServeOutcome outcome;
+  std::thread server([&] { outcome = serve(opt); });
+  const std::uint16_t port = port_future.get();
+  const int first = run_worker({"127.0.0.1", port, "first"});
+  const int late = run_worker({"127.0.0.1", port, "late"});
+  server.join();
+
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(late, 0);
+  EXPECT_EQ(outcome.records.size(), analysis::plan_grid(spec).cells.size());
+}
+
 TEST(SweepTcp, ServeThrowsWhenPortTaken) {
   // Hold a port with one listener, then ask serve() to bind the same one.
   std::promise<std::uint16_t> port_promise;

@@ -495,5 +495,24 @@ TEST(SweepWire, MalformedWelcomeGridSpecIsCorrupt) {
   }
 }
 
+// plan_grid builds one cell per block, so a Welcome naming a protocol or
+// slot policy this build does not ship fails the session cleanly
+// instead of throwing out of it.
+TEST(SweepWire, WelcomeWithUnknownNamesFailsTheSession) {
+  for (int field = 0; field < 2; ++field) {
+    SCOPED_TRACE(field);
+    SweepJob job = small_grid_job();
+    if (field == 0) job.grid.protocols = {"no-such-protocol"};
+    if (field == 1) job.grid.slot_policies = {"no-such-policy"};
+    const auto frame = welcome_frame(job);
+    WorkerSession w;
+    w.start(0);
+    EXPECT_NO_THROW(w.on_bytes(frame.data(), frame.size(), 0));
+    EXPECT_TRUE(w.failed());
+    EXPECT_NE(w.error().find("cannot plan the grid"), std::string::npos)
+        << w.error();
+  }
+}
+
 }  // namespace
 }  // namespace asyncmac

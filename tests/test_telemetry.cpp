@@ -7,11 +7,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "adversary/injectors.h"
 #include "adversary/slot_policies.h"
+#include "analysis/experiment.h"
+#include "analysis/grid.h"
 #include "analysis/registry.h"
 #include "live/virtual_net.h"
 #include "metrics/json.h"
@@ -461,6 +464,16 @@ TEST(TelemetryDeterminism, LiveStackIsByteIdenticalAndInstrumented) {
   std::remove(path.c_str());
 }
 
+/// The cohort.ineligible.{protocol,slot_policy,checkpoint} counters.
+std::vector<std::uint64_t> ineligible_counts() {
+  std::vector<std::uint64_t> out;
+  for (const char* why : {"protocol", "slot_policy", "checkpoint"})
+    out.push_back(telemetry::Registry::global()
+                      .counter(std::string("cohort.ineligible.") + why)
+                      .value());
+  return out;
+}
+
 TEST(TelemetryDeterminism, FuzzVerdictsAreByteIdentical) {
   verify::CampaignConfig cfg;
   cfg.seed = 5;
@@ -469,6 +482,21 @@ TEST(TelemetryDeterminism, FuzzVerdictsAreByteIdentical) {
 
   telemetry::set_enabled(false);
   const std::string off = verify::summarize(verify::run_campaign(cfg));
+  EXPECT_EQ(ineligible_counts(), std::vector<std::uint64_t>(3, 0));
+
+  // The campaign decides once per case: the counters must equal the
+  // predicate's reasons over the same cases (no failures, so no shrink
+  // runs add to them).
+  std::vector<std::uint64_t> want(3, 0);
+  const verify::ScenarioGen gen(cfg.seed);
+  for (std::uint64_t i = 0; i < cfg.cases; ++i) {
+    const auto why =
+        sim::lockstep_blocker(verify::scenario_materials(gen.generate(i)));
+    if (why != sim::LockstepBlocker::kNone)
+      ++want[static_cast<std::size_t>(why) - 1];
+  }
+  EXPECT_GT(want[0], 0u);
+  EXPECT_GT(want[1], 0u);
 
   const std::string path = temp_path("telemetry_fuzz_determinism.jsonl");
   std::string on_summary;
@@ -476,9 +504,41 @@ TEST(TelemetryDeterminism, FuzzVerdictsAreByteIdentical) {
     ScopedTelemetry on;
     ASSERT_TRUE(telemetry::enable_to_file(path));
     on_summary = verify::summarize(verify::run_campaign(cfg));
+    EXPECT_EQ(ineligible_counts(), want);
   }
   EXPECT_EQ(off, on_summary);
   std::remove(path.c_str());
+}
+
+// The grid planner counts one reason per ineligible block; records stay
+// byte-identical with telemetry on and off.
+TEST(TelemetryDeterminism, GridRecordsAndIneligibleCounts) {
+  analysis::ExperimentSpec spec;
+  spec.protocols = {"ao-arrow", "ca-arrow", "rrw"};
+  spec.station_counts = {3};
+  spec.bounds_r = {2};
+  spec.rho_percents = {50};
+  spec.slot_policies = {"perstation", "cyclic"};
+  spec.horizon_units = 500;
+  spec.seeds = 2;
+  spec.jobs = 2;
+  auto record_bytes = [&] {
+    snapshot::Writer w;
+    for (const auto& rec : analysis::run_grid(spec))
+      analysis::save_record(w, rec);
+    return w.take();
+  };
+
+  telemetry::set_enabled(false);
+  const auto off = record_bytes();
+  EXPECT_EQ(ineligible_counts(), std::vector<std::uint64_t>(3, 0));
+  {
+    ScopedTelemetry on;
+    EXPECT_EQ(record_bytes(), off);
+    // Blocks: {ao-arrow, rrw} x {perstation, cyclic} fail on protocol,
+    // ca-arrow x cyclic on slot policy.
+    EXPECT_EQ(ineligible_counts(), (std::vector<std::uint64_t>{4, 1, 0}));
+  }
 }
 
 // ---------------------------------------------------------------- cohort

@@ -1,15 +1,22 @@
 // Campaign-level properties of the fuzzing subsystem: generator
-// determinism and seed purity, a clean sweep over the shipped protocol
-// pool, byte-identical results for every jobs value (verdicts, summary
-// text AND repro JSON), greedy shrinking of synthetic violations down to
-// the acceptance bar (<= 3 stations), and repro round-trip/replay.
+// determinism and seed purity, the engine-state checks against planted
+// bugs, a clean sweep over the shipped protocol pool, byte-identical
+// results for every jobs value (verdicts, summary text AND repro JSON),
+// greedy shrinking of synthetic violations down to the acceptance bar
+// (<= 3 stations), and repro round-trip/replay.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/cohort_engine.h"
 #include "sim/engine.h"
+#include "sim/protocol.h"
+#include "snapshot/io.h"
 #include "verify/campaign.h"
 #include "verify/repro.h"
 #include "verify/scenario.h"
@@ -41,6 +48,100 @@ std::string replace_first(std::string text, const std::string& from,
   EXPECT_NE(pos, std::string::npos) << "pattern not found: " << from;
   if (pos != std::string::npos) text.replace(pos, from.size(), to);
   return text;
+}
+
+// A protocol wrapper with one planted bug, for the engine-state checks.
+// It counts its own decisions as snapshot state on top of the wrapped
+// protocol's.
+//  - kNondeterministic: the snapshot also carries a process-wide serial
+//    drawn at construction, so two engines built from one scenario end
+//    in different states (the shape of a shared static or an
+//    uninitialized field).
+//  - kForgetsOnResume: load_state consumes the saved count but does not
+//    restore it.
+class PlantedProtocol final : public sim::Protocol {
+ public:
+  enum class Bug { kNone, kNondeterministic, kForgetsOnResume };
+
+  PlantedProtocol(std::unique_ptr<sim::Protocol> inner, Bug bug)
+      : inner_(std::move(inner)), bug_(bug), serial_(next_serial()) {}
+
+  std::unique_ptr<sim::Protocol> clone() const override {
+    auto copy = std::make_unique<PlantedProtocol>(inner_->clone(), bug_);
+    copy->calls_ = calls_;
+    copy->serial_ = serial_;
+    return copy;
+  }
+  SlotAction next_action(const std::optional<sim::SlotResult>& prev,
+                         sim::StationContext& ctx) override {
+    ++calls_;
+    return inner_->next_action(prev, ctx);
+  }
+  std::string name() const override { return "planted"; }
+  void save_state(snapshot::Writer& w) const override {
+    inner_->save_state(w);
+    w.u64(calls_);
+    w.u64(bug_ == Bug::kNondeterministic ? serial_ : 0);
+  }
+  void load_state(snapshot::Reader& r, sim::StationContext& ctx) override {
+    inner_->load_state(r, ctx);
+    const std::uint64_t calls = r.u64();
+    serial_ = r.u64();
+    if (bug_ != Bug::kForgetsOnResume) calls_ = calls;
+  }
+
+ private:
+  static std::uint64_t next_serial() {
+    static std::atomic<std::uint64_t> serial{0};
+    return ++serial;
+  }
+
+  std::unique_ptr<sim::Protocol> inner_;
+  Bug bug_;
+  std::uint64_t calls_ = 0;
+  std::uint64_t serial_ = 0;
+};
+
+/// check_engine_state on an ineligible scenario (rrw cannot run in
+/// lockstep) whose every station runs a PlantedProtocol.
+trace::CheckResult planted_engine_state(PlantedProtocol::Bug bug) {
+  Scenario s = small_clean_scenario();
+  s.protocol = "rrw";
+  const sim::LaneBuilder build = [s, bug] {
+    sim::LaneMaterials m = verify::scenario_materials(s);
+    for (auto& p : m.protocols)
+      p = std::make_unique<PlantedProtocol>(std::move(p), bug);
+    return m;
+  };
+  EXPECT_EQ(sim::lockstep_blocker(build()), sim::LockstepBlocker::kProtocol);
+  sim::LaneMaterials m = build();
+  sim::Engine first(std::move(m.cfg), std::move(m.protocols),
+                    std::move(m.slot_policy), std::move(m.injection));
+  first.run(sim::until(s.horizon_units * kTicksPerUnit));
+  return verify::check_engine_state(s, build, first);
+}
+
+TEST(VerifyCampaign, EngineStateChecksPassWithoutAPlantedBug) {
+  const auto r = planted_engine_state(PlantedProtocol::Bug::kNone);
+  EXPECT_TRUE(r.ok) << r.what;
+}
+
+// Without the re-run check the resume check would still fail this case,
+// but with its own message; the assertion names the re-run.
+TEST(VerifyCampaign, RerunCheckCatchesPlantedNondeterminism) {
+  const auto r = planted_engine_state(PlantedProtocol::Bug::kNondeterministic);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.what.find("re-run diverged from the first run"),
+            std::string::npos)
+      << r.what;
+}
+
+TEST(VerifyCampaign, ResumeCheckCatchesStateNotRestored) {
+  const auto r = planted_engine_state(PlantedProtocol::Bug::kForgetsOnResume);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.what.find("resume from a mid-horizon snapshot diverged"),
+            std::string::npos)
+      << r.what;
 }
 
 TEST(VerifyCampaign, ScenarioGenIsDeterministicAndSeedPure) {

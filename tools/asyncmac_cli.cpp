@@ -252,9 +252,10 @@ std::vector<std::string> split_list(const std::string& s) {
       "                 records are byte-identical for every J\n"
       "  --cohort=K     batch up to K cells differing only in seed and\n"
       "                 injector params (rho) through the lockstep cohort\n"
-      "                 engine; 0 = auto, 1 = scalar\n"
-      "                 (default 0); records are byte-identical for\n"
-      "                 every K\n"
+      "                 engine (ca-arrow with sync/max/perstation slots;\n"
+      "                 other cells always run scalar); 0 = auto,\n"
+      "                 1 = scalar (default 0); records are\n"
+      "                 byte-identical for every K\n"
       "  --csv=PATH     also write the records as CSV\n"
       "\n"
       "resume flags (after: asyncmac_cli resume path/to/ckpt.snap or the\n"
