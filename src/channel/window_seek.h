@@ -1,9 +1,9 @@
 // asyncmac/channel/window_seek.h
 //
-// The one seek both channel ledgers (channel::Ledger, channel::LaneLedger)
-// use to find where a query's neighborhood starts in a begin-sorted
-// transmission window, plus the compaction rule their contiguous windows
-// share.
+// The one seek channel::Ledger uses to find where a query's neighborhood
+// starts in its begin-sorted transmission window (feedback and overlap
+// search alike; every cohort lane is a Ledger too), plus the compaction
+// rule of that contiguous window.
 //
 // Why a tail seek: the engine only ever asks about slots near "now", and
 // "now" sits at the tail of the window — entries are appended in begin

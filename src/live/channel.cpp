@@ -1,5 +1,6 @@
 #include "live/channel.h"
 
+#include "channel/semantics.h"
 #include "util/check.h"
 
 namespace asyncmac::live {
@@ -19,34 +20,25 @@ void LiveChannel::begin_tx(StationId station, Tick begin, bool is_control,
   tx.end = kTickInfinity;  // open: end fixed by the SlotEnd arrival
   tx.is_control = is_control;
   tx.packet = packet;
+  channel::Admission verdict = channel::Admission::kOk;
   if (restrained_.enabled()) {
     // On-air census at `begin`: non-rejected entries still occupying the
     // medium. Open entries count unconditionally (end = +inf); pruned
     // entries ended at or below every live begin and cannot count.
-    std::uint32_t on_air = 0;
+    std::size_t on_air = 0;
     for (const Transmission& o : window_) {
       if (static_cast<channel::Admission>(o.admission) ==
           channel::Admission::kRejected)
         continue;
       if (o.end > begin) ++on_air;
     }
-    if (on_air >= restrained_.k) {
-      if (restrained_.jam) {
-        tx.admission = static_cast<std::uint8_t>(channel::Admission::kJammed);
-        ++stats_.jammed;
-      } else {
-        tx.admission =
-            static_cast<std::uint8_t>(channel::Admission::kRejected);
-        tx.decided = true;  // never reaches the medium; unsuccessful now
-        ++stats_.rejected;
-        ++stats_.collided;
-      }
-    }
+    verdict = channel::admission_verdict(on_air, restrained_);
   }
+  // A rejected transmission is decided unsuccessful right here: it never
+  // reaches the medium (it still awaits its SlotEnd to fix its end).
+  channel::record_admission(tx, verdict, stats_);
   window_.push_back(tx);
   ++open_count_;
-  ++stats_.transmissions;
-  if (is_control) ++stats_.control_transmissions;
 }
 
 bool LiveChannel::close_tx(StationId station, Tick end) {
@@ -72,8 +64,6 @@ bool LiveChannel::close_tx(StationId station, Tick end) {
     // Decided (and tallied) at begin_tx; only the interval end was open.
     return false;
   }
-  tx.decided = true;
-
   // Success iff no other non-rejected interval overlaps [begin, end).
   // Open entries count with end = +inf; closed-and-pruned entries cannot
   // overlap (prune_before's horizon argument is below every live begin).
@@ -89,35 +79,15 @@ bool LiveChannel::close_tx(StationId station, Tick end) {
       break;
     }
   }
-  tx.successful = successful;
-
-  if (successful) {
-    ++stats_.successful;
-    if (tx.is_control) {
-      stats_.successful_control_time += tx.duration();
-    } else {
-      ++stats_.successful_packets;
-      stats_.successful_packet_time += tx.duration();
-    }
-  } else {
-    ++stats_.collided;
-  }
+  channel::record_outcome(tx, successful, stats_);
   return successful;
 }
 
 Feedback LiveChannel::feedback(Tick s, Tick t) const {
   AM_CHECK(s < t);
-  bool busy = false;
-  for (const Transmission& tx : window_) {
-    // Rejected transmissions never reached the medium: no ack, no busy.
-    if (static_cast<channel::Admission>(tx.admission) ==
-        channel::Admission::kRejected)
-      continue;
-    if (tx.decided && tx.successful && tx.end > s && tx.end <= t)
-      return Feedback::kAck;
-    if (!busy && intervals_overlap(tx.begin, tx.end, s, t)) busy = true;
-  }
-  return busy ? Feedback::kBusy : Feedback::kSilence;
+  // The window is begin-sorted, so the scan may start at its front; open
+  // entries (end = +inf) can be busy but never ack.
+  return channel::scan_slot(window_.begin(), window_.end(), s, t).feedback;
 }
 
 bool LiveChannel::transmission_successful(StationId station, Tick end) const {

@@ -12,21 +12,25 @@
 //   * open     — begin known, end unknown (stored as kTickInfinity);
 //   * closed   — end fixed by the SlotEnd arrival, success decided.
 //
-// It answers the exact same questions as the ledger, with the same
-// half-open interval rules (channel/transmission.h):
+// It answers the exact same questions as the ledger with the same rules,
+// which both take from channel/semantics.h: the restrained admission
+// verdict, the admission and outcome tallies, and the slot scan
 //   ack     — a successful transmission ended at e in (s, t];
 //   busy    — otherwise, some transmission overlaps [s, t);
 //   silence — otherwise.
+// What stays here is the storage and the searches over it: the on-air
+// census at begin_tx and the overlap check at close_tx scan the window.
 // An open transmission can never ack (its end lies in the future) but
 // does make overlapping slots busy: treating its unknown end as +inf is
 // exact, because the daemon closes every transmission whose end is <= t
 // before answering a feedback query at t (wave phase A, live/daemon.h).
 //
-// Stats parity: LedgerStats fields are bumped at the same logical points
-// as the ledger — transmissions/control_transmissions at registration,
-// success/collision tallies when the interval's end passes — so a
-// virtual-clock live run reports byte-identical channel stats to
-// sim::Engine (pinned by tests/test_live_channel and the differential).
+// Stats parity: the shared rules bump LedgerStats at the same logical
+// points as the ledger — transmissions/control_transmissions at
+// registration, success/collision tallies when the interval's end
+// passes — so a virtual-clock live run reports byte-identical channel
+// stats to sim::Engine (pinned by tests/test_live_channel and the
+// differential).
 #pragma once
 
 #include <cstddef>

@@ -116,7 +116,7 @@ struct CohortEngine::Impl {
 
     LaneBuilder builder;
     // Live per-lane objects with the scalar engine's exact semantics.
-    // The channel ledger lives lane-major in Impl::lane_ledger, not here.
+    // The lane's channel Ledger lives in Impl::lane_ledger, not here.
     std::vector<StationContext> stations;
     std::unique_ptr<InjectionPolicy> injection;
     metrics::Collector metrics;
@@ -148,9 +148,9 @@ struct CohortEngine::Impl {
   std::vector<Lane*> lane_ptr;
   std::vector<std::uint32_t> active;  ///< lockstep lanes still advancing
 
-  /// Lane-major SoA channel substrate (lockstep only; fallback lanes own
-  /// scalar Engines with scalar Ledgers). One feedback_all call per event
-  /// classifies all K lanes over contiguous arrays.
+  /// One channel Ledger per lockstep lane plus the gate index over them
+  /// (fallback lanes own scalar Engines with their own Ledgers). One
+  /// feedback_all call per event classifies all K lanes over the index.
   std::unique_ptr<channel::LaneLedger> lane_ledger;
   std::vector<Feedback> fb_buffer;  ///< feedback_all output, indexed by lane
   bool any_injection = false;  ///< hoisted: phase 1 skips injector-free runs
@@ -469,7 +469,7 @@ struct CohortEngine::Impl {
     }
 
     // Phase 2 — feedback for all K lanes of this slot in one vectorized
-    // classification pass over the LaneLedger's contiguous summary arrays.
+    // classification pass over the LaneLedger's gate index.
     // Awaiting-station fast paths — the steady-state shapes on arrow
     // workloads. When every lane of this station sits in
     // kCaAwaitSequenceEnd with a listen committed and no lane is at its
@@ -1157,7 +1157,7 @@ CohortEngine::~CohortEngine() {
   for (auto& lane : im.lanes)
     if (!lane->engine) im.flush_lane(*lane);
   im.flush_cohort_telemetry();
-  // im.lane_ledger's destructor flushes each lane's channel telemetry.
+  // Destroying im.lane_ledger flushes each lane's channel telemetry.
 }
 
 std::size_t CohortEngine::lanes() const noexcept { return impl_->lanes.size(); }
@@ -1198,7 +1198,7 @@ const channel::LedgerStats& CohortEngine::channel_stats(
   AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
   const Impl::Lane& L = *impl_->lanes[lane];
   if (L.engine) return L.engine->channel_stats();
-  // LedgerStats update eagerly in the LaneLedger — no fold needed.
+  // The lane's Ledger keeps its LedgerStats current — no fold needed.
   return impl_->lane_ledger->stats(static_cast<std::uint32_t>(lane));
 }
 

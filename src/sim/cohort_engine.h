@@ -21,10 +21,12 @@
 // paper's collision-free workhorse protocol — the one the committed
 // trajectory benches run). Everything per-lane that is not a hot scalar
 // stays a real object with the scalar engine's exact semantics: the
-// channel Ledger, the metrics Collector, trace/delivery recording and the
-// live InjectionPolicy (any injection adversary works — polls go through
-// a per-lane EngineView at the shared event times, under the same
-// next_arrival_hint skip-ahead contract as the scalar engine).
+// channel Ledger (one per lane, held by channel::LaneLedger behind the
+// gate index its vectorized feedback pass reads), the metrics Collector,
+// trace/delivery recording and the live InjectionPolicy (any injection
+// adversary works — polls go through a per-lane EngineView at the shared
+// event times, under the same next_arrival_hint skip-ahead contract as
+// the scalar engine).
 //
 // Eligibility has one definition, in two halves. lockstep_blocker() is
 // the per-lane half: the lane-ized protocol, fixed slot lengths in

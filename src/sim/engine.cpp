@@ -330,7 +330,8 @@ void Engine::save_state(snapshot::Writer& w) const {
   // KEEP IN SYNC: CohortEngine materializes lockstep lanes by writing this
   // exact byte layout from its own lane state (sim/cohort_engine.cpp,
   // save_lane_state) — any field added, removed or reordered here must be
-  // mirrored there, or lane detachment silently corrupts.
+  // mirrored there, or lane detachment silently corrupts. The channel
+  // ledger's bytes are the exception: a lane's Ledger writes them itself.
   w.u32(cfg_.n);
   w.u32(cfg_.bound_r);
   w.boolean(cfg_.keep_channel_history);

@@ -63,6 +63,16 @@ void Reader::throw_truncated(std::size_t n) const {
                           std::to_string(remaining()));
 }
 
+std::uint64_t Reader::count(std::size_t min_element_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_element_bytes)
+    throw SnapshotError(ErrorKind::kCorrupt,
+                        "element count " + std::to_string(n) +
+                            " cannot fit in " + std::to_string(remaining()) +
+                            " remaining bytes");
+  return n;
+}
+
 bool Reader::boolean() {
   const std::uint8_t v = u8();
   if (v > 1)

@@ -176,6 +176,11 @@ class Reader {
   std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - p_);
   }
+  /// A u64 element count, for a list whose elements each take at least
+  /// `min_element_bytes` (>= 1) of the input. Throws kCorrupt when that
+  /// many elements cannot fit in remaining(), so a corrupt count fails
+  /// typed before any reserve() or loop sized by it.
+  std::uint64_t count(std::size_t min_element_bytes);
   /// Throws kCorrupt unless the whole input was consumed — catches
   /// writer/reader schema drift early.
   void expect_end() const;

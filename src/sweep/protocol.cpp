@@ -24,24 +24,14 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Guard for list lengths inside payloads: a frame already caps the
-/// total payload at kMaxFramePayload, so any declared element count that
-/// could not possibly fit is corruption, not a big message.
-void check_count(std::uint64_t count, std::uint64_t min_element_bytes) {
-  if (min_element_bytes != 0 &&
-      count > kMaxFramePayload / min_element_bytes)
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "declared element count cannot fit in a frame");
-}
-
 void save_string_list(Writer& w, const std::vector<std::string>& v) {
   w.u64(v.size());
   for (const auto& s : v) w.str(s);
 }
 
 std::vector<std::string> load_string_list(Reader& r) {
-  const std::uint64_t count = r.u64();
-  check_count(count, 8);  // each string carries at least its u64 length
+  // Each string carries at least its u64 length.
+  const std::uint64_t count = r.count(8);
   std::vector<std::string> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) v.push_back(r.str());
@@ -80,17 +70,14 @@ int load_int(Reader& r, const char* what) {
 analysis::ExperimentSpec load_grid_spec(Reader& r) {
   analysis::ExperimentSpec spec;
   spec.protocols = load_string_list(r);
-  std::uint64_t count = r.u64();
-  check_count(count, 4);
+  std::uint64_t count = r.count(4);
   spec.station_counts.clear();
   for (std::uint64_t i = 0; i < count; ++i)
     spec.station_counts.push_back(r.u32());
-  count = r.u64();
-  check_count(count, 4);
+  count = r.count(4);
   spec.bounds_r.clear();
   for (std::uint64_t i = 0; i < count; ++i) spec.bounds_r.push_back(r.u32());
-  count = r.u64();
-  check_count(count, 8);
+  count = r.count(8);
   spec.rho_percents.clear();
   for (std::uint64_t i = 0; i < count; ++i)
     spec.rho_percents.push_back(load_int(r, "rho percent"));
@@ -330,8 +317,8 @@ std::vector<std::uint8_t> encode_grid_result(
 std::vector<analysis::ExperimentRecord> decode_grid_result(
     const std::vector<std::uint8_t>& payload) {
   Reader r(payload);
-  const std::uint64_t count = r.u64();
-  check_count(count, 32);  // a record is far larger than 32 bytes
+  // A record is far larger than 32 bytes.
+  const std::uint64_t count = r.count(32);
   std::vector<analysis::ExperimentRecord> records;
   records.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i)
@@ -356,8 +343,7 @@ std::vector<std::uint8_t> encode_fuzz_result(
 std::vector<verify::CaseVerdict> decode_fuzz_result(
     const std::vector<std::uint8_t>& payload) {
   Reader r(payload);
-  const std::uint64_t count = r.u64();
-  check_count(count, 18);
+  const std::uint64_t count = r.count(18);
   std::vector<verify::CaseVerdict> verdicts;
   verdicts.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

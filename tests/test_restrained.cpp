@@ -152,8 +152,10 @@ TEST(RestrainedDifferential, LedgerMatchesNaiveReferenceOnDenseStreams) {
 TEST(RestrainedDifferential, EngineMatrixPassesTheChannelOracle) {
   // End-to-end differential matrix: contention-heavy protocols under
   // every restrained mode, through verify::run_case — which replays the
-  // trace through a fresh Ledger AND the O(T^2) reference, cross-checks
-  // admissions, and runs the cohort-equivalence oracle on top.
+  // trace through a fresh Ledger AND the O(T^2) reference and
+  // cross-checks admissions. These protocols cannot run in a lockstep
+  // cohort, so run_case checks them with a re-run and a snapshot resume
+  // instead of the cohort-equivalence oracle.
   std::uint64_t jammed = 0, rejected = 0;
   for (const char* protocol : {"aloha", "beb", "csma-lbt"}) {
     for (const std::uint32_t k : {1u, 2u}) {

@@ -3,7 +3,9 @@
 // CRC-32 reference vector, and the corruption matrix — truncated files,
 // flipped payload/CRC bytes, future-version headers, wrong kinds and bad
 // magic must each raise the documented typed SnapshotError, never
-// undefined behaviour (this suite also runs under ASan/UBSan in CI).
+// undefined behaviour (this suite also runs under ASan/UBSan in CI). A
+// declared element count that cannot fit in the rest of the input is
+// kCorrupt before anything is allocated for it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "channel/ledger.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
 
@@ -289,6 +292,17 @@ TEST(SnapshotIo, StringLengthGuard) {
   expect_kind(ErrorKind::kTruncated, [&] { Reader(w.buffer()).str(); });
 }
 
+TEST(SnapshotIo, CountGuardRejectsCountsThatCannotFit) {
+  Writer w;
+  w.u64(3);
+  for (int i = 0; i < 3; ++i) w.u32(7);
+  EXPECT_EQ(Reader(w.buffer()).count(4), 3u);  // exactly fits
+  expect_kind(ErrorKind::kCorrupt, [&] { Reader(w.buffer()).count(5); });
+  Writer huge;
+  huge.u64(~std::uint64_t{0});
+  expect_kind(ErrorKind::kCorrupt, [&] { Reader(huge.buffer()).count(1); });
+}
+
 TEST(SnapshotIo, ExpectEndRejectsLeftoverBytes) {
   Writer w;
   w.u32(7);
@@ -415,6 +429,35 @@ TEST(SnapshotFormat, CorruptMagicIsBadMagic) {
   dump(path, bytes);
   expect_kind(ErrorKind::kBadMagic,
               [&] { snapshot::read_file(path, FileKind::kEngineRun); });
+}
+
+// A valid-CRC file whose ledger state declares a huge archived-history
+// count: the load must fail typed, not with std::length_error from
+// reserve() (2^58) or std::bad_alloc under an address-space limit (2^31).
+TEST(SnapshotFormat, LedgerHistoryCountBeyondInputIsCorrupt) {
+  channel::Ledger saved(/*keep_history=*/true);
+  Writer w;
+  saved.save_state(w);
+  std::vector<std::uint8_t> state = w.take();
+  // Empty window: keep_history (1), restrained k (4) and jam (1), window
+  // count (8), finalized cursor (8), then the history count.
+  constexpr std::size_t kHistoryCount = 1 + 4 + 1 + 8 + 8;
+  ASSERT_EQ(snapshot::load_le<std::uint64_t>(state.data() + kHistoryCount),
+            0u);
+  const std::string path = testing::TempDir() + "snap_io_ledger_history.snap";
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 58, std::uint64_t{1} << 31}) {
+    snapshot::store_le(state.data() + kHistoryCount, count);
+    snapshot::write_file(path, FileKind::kEngineRun, state);
+    const std::vector<std::uint8_t> payload =
+        snapshot::read_file(path, FileKind::kEngineRun);
+    expect_kind(ErrorKind::kCorrupt, [&] {
+      Reader r(payload);
+      channel::Ledger loaded(/*keep_history=*/true);
+      loaded.load_state(r);
+    });
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(SnapshotFormat, ErrorStringsNameTheKind) {
