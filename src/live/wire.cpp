@@ -22,11 +22,7 @@ void encode_injections(snapshot::Writer& w,
 }
 
 std::vector<InjectionDelta> decode_injections(snapshot::Reader& r) {
-  const std::uint64_t count = r.u64();
-  // A feedback datagram never carries more injections than fit in the
-  // payload cap; reject absurd counts before allocating.
-  if (count > kMaxDatagramPayload / 16)
-    throw SnapshotError(ErrorKind::kCorrupt, "injection count out of range");
+  const std::uint64_t count = r.count(16);  // injected_at, cost
   std::vector<InjectionDelta> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
