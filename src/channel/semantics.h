@@ -3,8 +3,9 @@
 // The channel rules every production channel model applies, written
 // once. channel::Ledger (the simulator's, and through it every lane of
 // channel::LaneLedger) and live::LiveChannel (the live daemon's) keep
-// their own storage, their own on-air census and their own overlap
-// search, and call these for the rules themselves:
+// their own storage — the same contiguous begin-sorted window, seeked
+// from its tail (channel/window_seek.h) — their own on-air census and
+// their own overlap search, and call these for the rules themselves:
 //
 //   * k-restrained admission (Hradovich–Klonowski–Kowalski, arXiv
 //     1808.02216): the verdict from the on-air count at a transmission's

@@ -1,16 +1,18 @@
 // asyncmac/channel/window_seek.h
 //
-// The one seek channel::Ledger uses to find where a query's neighborhood
-// starts in its begin-sorted transmission window (feedback and overlap
-// search alike; every cohort lane is a Ledger too), plus the compaction
-// rule of that contiguous window.
+// The one seek channel::Ledger and live::LiveChannel use to find where a
+// query's neighborhood starts in their begin-sorted transmission windows
+// (feedback, overlap search and, in LiveChannel, the restrained on-air
+// census; every cohort lane is a Ledger too), plus the compaction rule of
+// that contiguous window, which both keep.
 //
-// Why a tail seek: the engine only ever asks about slots near "now", and
-// "now" sits at the tail of the window — entries are appended in begin
-// order and the feedback/overlap scans only reach begins within one
-// max_duration of the query. A plain binary search pays O(log W) probes
-// for that (W = window length, up to thousands on collision-heavy async
-// runs); galloping back from the tail and then binary-searching the
+// Why a tail seek: the engine and the live daemon only ever ask about
+// slots near "now", and "now" sits at the tail of the window — entries
+// are appended in begin order and the scans only reach begins within one
+// max_duration of the query (LiveChannel also reaches back to its oldest
+// open entry, whose end is still unknown). A plain binary search pays
+// O(log W) probes for that (W = window length, up to thousands on
+// collision-heavy async runs); galloping back from the tail and then binary-searching the
 // bracketed range pays O(log d), d = distance from the tail to the answer.
 // A query anywhere in the window (the verify oracle's replay ledger holds
 // a case's whole history) still costs at most 2*ceil(log2 W) + 1 probes.

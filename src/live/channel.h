@@ -18,8 +18,22 @@
 //   ack     — a successful transmission ended at e in (s, t];
 //   busy    — otherwise, some transmission overlaps [s, t);
 //   silence — otherwise.
-// What stays here is the storage and the searches over it: the on-air
-// census at begin_tx and the overlap check at close_tx scan the window.
+// What stays here is the storage and the searches over it, the same
+// contiguous window channel::Ledger keeps: a flat begin-sorted buffer
+// whose live entries occupy [head, size), compacted by
+// window_compaction_due (channel/window_seek.h). Each station's open
+// entry is indexed, so has_open and the entry close_tx closes are O(1)
+// lookups. The feedback scan, the overlap search at close_tx and the
+// on-air census at begin_tx all start at the earlier of two points:
+//   * the tail seek (seek_begin_after) to the first entry beginning
+//     after key - max_closed_duration — every closed entry before it
+//     ended at or before the key and cannot reach the query;
+//   * the oldest open entry, whose end = +inf reaches every later query.
+// max_closed_duration is taken from realized ends (the SlotEnd arrival),
+// not from R: over UDP a slot can last longer than R units. The oldest
+// open entry is tracked incrementally and only re-found when it closes,
+// by walking forward to the next open entry. Each query therefore costs
+// O(log d + neighborhood), d = its distance from the tail, not O(W).
 // An open transmission can never ack (its end lies in the future) but
 // does make overlapping slots busy: treating its unknown end as +inf is
 // exact, because the daemon closes every transmission whose end is <= t
@@ -34,7 +48,8 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <limits>
+#include <vector>
 
 #include "channel/ledger.h"
 #include "channel/transmission.h"
@@ -87,17 +102,35 @@ class LiveChannel {
   /// argument as Ledger::prune_before). Open entries are never dropped.
   void prune_before(Tick horizon);
 
-  bool has_open(StationId station) const;
+  bool has_open(StationId station) const noexcept {
+    return station < open_at_.size() && open_at_[station] != kNone;
+  }
 
   const channel::LedgerStats& stats() const noexcept { return stats_; }
-  std::size_t window_size() const noexcept { return window_.size(); }
+  std::size_t window_size() const noexcept { return window_.size() - head_; }
 
  private:
-  std::deque<channel::Transmission> window_;  ///< begin-sorted; open: end=inf
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  /// First index any query keyed at `key` (a slot start, or the begin of
+  /// an interval being checked) must visit: the tail seek past closed
+  /// entries that ended at or before `key`, or the oldest open entry if
+  /// that lies earlier.
+  std::size_t scan_start(Tick key) const;
+
+  /// Contiguous window: live entries occupy window_[head_, size()),
+  /// begin-sorted; an open entry has end = +inf. Indices below are
+  /// absolute into window_ and shift down when it compacts.
+  std::vector<channel::Transmission> window_;
+  std::size_t head_ = 0;
+  /// open_at_[station]: index of the station's open entry, or kNone.
+  std::vector<std::size_t> open_at_;
+  std::size_t oldest_open_ = kNone;  ///< smallest open index, kNone if none
+  /// Longest realized duration of any closed entry (never shrinks).
+  Tick max_closed_duration_ = 0;
   channel::RestrainedSpec restrained_;
   channel::LedgerStats stats_;
   Tick last_begin_ = 0;
-  std::size_t open_count_ = 0;
 };
 
 }  // namespace asyncmac::live

@@ -393,7 +393,12 @@ DaemonActions Daemon::on_batch(
 
   // Decode, validate addressing, split by type. Malformed or misdirected
   // datagrams are dropped (and counted); the daemon keeps serving.
-  std::vector<Msg> joins, ends, boundaries;
+  std::vector<Msg>& joins = wave_joins_;
+  std::vector<Msg>& ends = wave_ends_;
+  std::vector<Msg>& boundaries = wave_boundaries_;
+  joins.clear();
+  ends.clear();
+  boundaries.clear();
   for (const auto& bytes : datagrams) {
     Msg m;
     try {
@@ -420,19 +425,22 @@ DaemonActions Daemon::on_batch(
   }
 
   // Every phase walks its messages in ascending station order, matching
-  // the engine's (end, station) event-heap tie-break.
+  // the engine's (end, station) event-heap tie-break. A virtual net
+  // without emulation knobs delivers every wave in that order; only
+  // reordered waves (UDP, emulated delay or jitter) pay for a sort.
   auto by_station = [](const Msg& a, const Msg& b) {
     return a.station < b.station;
   };
-  std::stable_sort(joins.begin(), joins.end(), by_station);
-  std::stable_sort(ends.begin(), ends.end(), by_station);
-  std::stable_sort(boundaries.begin(), boundaries.end(), by_station);
+  for (std::vector<Msg>* list : {&joins, &ends, &boundaries})
+    if (!std::is_sorted(list->begin(), list->end(), by_station))
+      std::stable_sort(list->begin(), list->end(), by_station);
 
   for (const Msg& m : joins) handle_join(now, m, out);
 
   // Phase A: close every ending transmission interval before any
   // feedback query — a query at t must see all ends <= t decided.
-  std::vector<StationId> settling;
+  std::vector<StationId>& settling = wave_settling_;
+  settling.clear();
   for (const Msg& m : ends) {
     if (done_) break;
     if (accept_slot_end(now, m, out)) settling.push_back(m.station);

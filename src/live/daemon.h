@@ -193,6 +193,10 @@ class Daemon : public sim::EngineView {
   std::vector<Mirror> mirrors_;
   std::vector<std::uint64_t> rng_seeds_;  ///< per-station, engine order
   std::vector<sim::Injection> injection_buffer_;
+  /// One wave's messages split by type, and the stations settling in it;
+  /// kept across on_batch calls so a wave reuses their capacity.
+  std::vector<Msg> wave_joins_, wave_ends_, wave_boundaries_;
+  std::vector<StationId> wave_settling_;
 
   Tick now_ = 0;
   bool started_ = false;

@@ -21,6 +21,7 @@ VirtualNet::VirtualNet(Daemon& daemon, std::vector<StationMachine*> stations,
                "station machines must be ordered by id");
   }
   timers_.resize(stations_.size());
+  sent_counts_.resize(2 * stations_.size());
 }
 
 void VirtualNet::add_drop(bool to_station, StationId station,
@@ -42,15 +43,21 @@ void VirtualNet::dispatch(StationId station, bool to_station,
     telemetry::count("live.emu_dropped");
     return;
   }
-  const std::uint64_t index = sent_counts_[{to_station, station}]++;
-  auto it = drops_.find({to_station, station});
-  if (it != drops_.end()) {
-    auto& list = it->second;
-    auto pos = std::find(list.begin(), list.end(), index);
-    if (pos != list.end()) {
-      list.erase(pos);
-      telemetry::count("live.emu_dropped");
-      return;
+  AM_CHECK(station >= 1 && station <= stations_.size());
+  const std::size_t slot =
+      (to_station ? stations_.size() : 0) + (station - 1);
+  const std::uint64_t index = sent_counts_[slot]++;
+  if (!drops_.empty()) {
+    auto it = drops_.find({to_station, station});
+    if (it != drops_.end()) {
+      auto& list = it->second;
+      auto pos = std::find(list.begin(), list.end(), index);
+      if (pos != list.end()) {
+        list.erase(pos);
+        if (list.empty()) drops_.erase(it);
+        telemetry::count("live.emu_dropped");
+        return;
+      }
     }
   }
   Event ev;

@@ -97,7 +97,11 @@ class VirtualNet {
   util::Rng rng_;
   std::vector<Event> queue_;  ///< heap ordered by (time, seq)
   std::uint64_t next_event_seq_ = 0;
-  std::map<std::pair<bool, StationId>, std::uint64_t> sent_counts_;
+  /// Datagrams sent per direction and station (after emulation-knob
+  /// drops): [0, n) station->daemon, [n, 2n) daemon->station, by id - 1.
+  std::vector<std::uint64_t> sent_counts_;
+  /// Scripted drops by (to_station, station); an entry is erased once its
+  /// last drop fired, so an empty map means nothing is scripted.
   std::map<std::pair<bool, StationId>, std::vector<std::uint64_t>> drops_;
   Tick now_ = 0;
   bool daemon_done_ = false;

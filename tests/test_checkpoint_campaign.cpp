@@ -45,7 +45,8 @@ TEST(CheckpointCampaign, StopAndResumeMatchesUninterruptedRun) {
   const CampaignResult control = verify::run_campaign(base_config());
   ASSERT_EQ(control.cases_run, 160u);
 
-  const std::string cursor = "campaign_cursor_test.snap";
+  const std::string cursor =
+      ::testing::TempDir() + "campaign_cursor_test.snap";
   std::remove(cursor.c_str());
 
   // First leg: stop cleanly past 70 cases (rounded up to a chunk
@@ -80,7 +81,8 @@ TEST(CheckpointCampaign, StopAndResumeMatchesUninterruptedRun) {
 }
 
 TEST(CheckpointCampaign, CursorFromDifferentCampaignIsMismatch) {
-  const std::string cursor = "campaign_cursor_mismatch.snap";
+  const std::string cursor =
+      ::testing::TempDir() + "campaign_cursor_mismatch.snap";
   std::remove(cursor.c_str());
   CampaignConfig cfg = base_config();
   cfg.cases = 64;

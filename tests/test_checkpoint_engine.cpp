@@ -96,7 +96,8 @@ TEST(CheckpointEngine, GoldenCorpusResumesByteIdentical) {
 
     // Kill early and late — both segments must splice invisibly.
     for (const std::uint64_t kill : {std::uint64_t{17}, std::uint64_t{211}}) {
-      const std::string path = "ckpt_engine_" + c.name + ".snap";
+      const std::string path =
+          ::testing::TempDir() + "ckpt_engine_" + c.name + ".snap";
       EXPECT_EQ(run_killed_and_resumed(spec, kill, path), control)
           << c.name << " killed at " << kill;
     }
@@ -124,8 +125,8 @@ TEST(CheckpointEngine, GeneratedScenariosResumeByteIdentical) {
     if (s.horizon_units > 400) continue;  // keep the test cheap
     const RunSpec spec = spec_from_scenario(s);
     const std::string control = run_uninterrupted(spec);
-    const std::string path =
-        "ckpt_scenario_" + std::to_string(i) + ".snap";
+    const std::string path = ::testing::TempDir() + "ckpt_scenario_" +
+                             std::to_string(i) + ".snap";
     EXPECT_EQ(run_killed_and_resumed(spec, 29, path), control)
         << s.describe();
     ++tested;
@@ -139,8 +140,8 @@ TEST(CheckpointEngine, ChainedResumeStaysIdentical) {
   const RunSpec spec = spec_from_golden(testing::engine_golden_cases()[0]);
   const std::string control = run_uninterrupted(spec);
 
-  const std::string p1 = "ckpt_chain_1.snap";
-  const std::string p2 = "ckpt_chain_2.snap";
+  const std::string p1 = ::testing::TempDir() + "ckpt_chain_1.snap";
+  const std::string p2 = ::testing::TempDir() + "ckpt_chain_2.snap";
   {
     auto engine = snapshot::build_engine(spec);
     sim::StopCondition stop = sim::until(spec.horizon_units * kTicksPerUnit);
@@ -211,7 +212,7 @@ TEST(CheckpointEngine, RunSpecChannelVariantBytesArePinned) {
 TEST(CheckpointEngine, AutoSaverRotatesWithBoundedRetention) {
   RunSpec spec = spec_from_golden(testing::engine_golden_cases()[0]);
   spec.checkpoint_interval = 50;
-  const std::string dir = "ckpt_retention_dir";
+  const std::string dir = ::testing::TempDir() + "ckpt_retention_dir";
   std::filesystem::remove_all(dir);
 
   auto saver = std::make_shared<snapshot::AutoSaver>(dir, spec, 2);

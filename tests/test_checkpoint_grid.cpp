@@ -71,7 +71,7 @@ TEST(CheckpointGrid, ResumeFromPartialManifestIsByteIdentical) {
   const std::string control = fingerprint(analysis::run_grid(control_spec));
 
   // Full checkpointed sweep: same records, manifest on disk.
-  const std::string dir = "grid_ckpt_test";
+  const std::string dir = ::testing::TempDir() + "grid_ckpt_test";
   std::filesystem::remove_all(dir);
   ExperimentSpec spec = small_spec();
   spec.checkpoint_dir = dir;
@@ -113,7 +113,7 @@ TEST(CheckpointGrid, ResumeFromPartialManifestIsByteIdentical) {
 }
 
 TEST(CheckpointGrid, ManifestFromDifferentSweepIsMismatch) {
-  const std::string dir = "grid_ckpt_mismatch";
+  const std::string dir = ::testing::TempDir() + "grid_ckpt_mismatch";
   std::filesystem::remove_all(dir);
   ExperimentSpec spec = small_spec();
   spec.checkpoint_dir = dir;
@@ -144,7 +144,7 @@ TEST(CheckpointGrid, ManifestFromDifferentSweepIsMismatch) {
 TEST(CheckpointGrid, JobsValueDoesNotPerturbResumedRecords) {
   // The determinism contract says records are independent of jobs;
   // resuming under a different worker count must preserve that.
-  const std::string dir = "grid_ckpt_jobs";
+  const std::string dir = ::testing::TempDir() + "grid_ckpt_jobs";
   std::filesystem::remove_all(dir);
   ExperimentSpec spec = small_spec();
   spec.checkpoint_dir = dir;

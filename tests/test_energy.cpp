@@ -209,7 +209,7 @@ TEST(EnergyCheckpoint, MeterSurvivesKillAnywhereResume) {
   for (const std::uint64_t kill : {std::uint64_t{1}, std::uint64_t{23},
                                    std::uint64_t{171}}) {
     const std::string path =
-        "energy_ckpt_" + std::to_string(kill) + ".snap";
+        ::testing::TempDir() + "energy_ckpt_" + std::to_string(kill) + ".snap";
     {
       auto engine = snapshot::build_engine(spec);
       sim::StopCondition stop =

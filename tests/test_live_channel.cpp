@@ -2,9 +2,13 @@
 // transmissions make overlapping slots busy but never ack, and once all
 // intervals are closed the answers and cumulative stats are identical to
 // the simulation ledger fed the same schedule — the stats-parity half of
-// the sim-vs-live differential.
+// the sim-vs-live differential. A second differential drives the channel
+// in the daemon's wave order (close, query, begin, prune) and checks
+// every answer, mid-run and with entries still open, against the
+// brute-force verify::ReferenceChannel.
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +17,7 @@
 #include "channel/transmission.h"
 #include "live/channel.h"
 #include "util/rng.h"
+#include "verify/reference_channel.h"
 
 namespace asyncmac::live {
 namespace {
@@ -201,6 +206,177 @@ TEST(LiveChannelDifferential, MatchesLedgerOnRandomSchedules) {
           static_cast<Tick>(qrng.below(static_cast<std::uint64_t>(4 * U)));
       EXPECT_EQ(live.feedback(s, t), ledger.feedback(s, t))
           << "seed=" << seed << " window=[" << s << "," << t << ")";
+    }
+  }
+}
+
+// ------------------------------------------- wave-order reference check
+
+/// One slot of a station's contiguous slot chain.
+struct ChainSlot {
+  StationId station;
+  Tick begin;
+  Tick end;
+  bool transmit;
+  bool is_control;
+};
+
+/// Seeded contiguous slot chains, one per station, the shape a live run
+/// produces: each slot begins where the station's previous one ended.
+/// Most slots end on a half-unit grid point at most R*U = 4 U away, so
+/// ends and begins of different stations coincide and touch; one in 16
+/// ends an arbitrary tick count later (an arrival-clocked end over UDP),
+/// and the next grid slot snaps back. One transmitting slot of station 1
+/// runs 40 U — far beyond R — as a SlotEnd held back by drift would.
+std::vector<ChainSlot> drifting_chains(std::uint64_t seed, int stations,
+                                       int slots_per_station) {
+  constexpr Tick kGrid = U / 2;
+  util::Rng rng(seed);
+  std::vector<ChainSlot> slots;
+  for (StationId st = 1; st <= static_cast<StationId>(stations); ++st) {
+    Tick t = static_cast<Tick>(rng.below(4)) * kGrid;
+    for (int k = 0; k < slots_per_station; ++k) {
+      const bool drifted = st == 1 && k == slots_per_station / 3;
+      Tick end = (t / kGrid + 1 + static_cast<Tick>(rng.below(7))) * kGrid;
+      if (rng.below(16) == 0)
+        end = t + 1 +
+              static_cast<Tick>(rng.below(static_cast<std::uint64_t>(4 * U)));
+      if (drifted) end = t + 40 * U;
+      const bool transmit = drifted || rng.chance(0.45);
+      slots.push_back({st, t, end, transmit,
+                       transmit && !drifted && rng.below(8) == 0});
+      t = end;
+    }
+  }
+  return slots;
+}
+
+/// Drive a LiveChannel through `slots` in the daemon's wave order and
+/// check every answer against a ReferenceChannel holding the whole
+/// schedule, and the running stats against a Ledger fed the same
+/// intervals. At each boundary tick t: (A) close every transmitting slot
+/// ending at t, (B) query each slot ending at t plus random slots inside
+/// the unpruned past, check success verdicts and has_open for every
+/// station, (C) begin every slot starting at t; every few ticks prune at
+/// the minimum current slot begin, as Daemon::maybe_prune does.
+void check_wave_order(const std::vector<ChainSlot>& slots,
+                      channel::RestrainedSpec spec, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed << " k=" << spec.k
+                                    << " jam=" << spec.jam);
+  verify::ReferenceChannel ref;
+  ref.set_restrained(spec);
+  std::map<Tick, std::vector<const ChainSlot*>> begins, ends;
+  for (const ChainSlot& sl : slots) {
+    begins[sl.begin].push_back(&sl);
+    ends[sl.end].push_back(&sl);
+    if (!sl.transmit) continue;
+    channel::Transmission t;
+    t.station = sl.station;
+    t.begin = sl.begin;
+    t.end = sl.end;
+    t.is_control = sl.is_control;
+    ref.add(t);
+  }
+  ref.cache_success();
+  std::vector<Tick> ticks;
+  for (const auto& [t, _] : begins) ticks.push_back(t);
+  for (const auto& [t, _] : ends) ticks.push_back(t);
+  std::sort(ticks.begin(), ticks.end());
+  ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
+  auto by_station = [](const ChainSlot* a, const ChainSlot* b) {
+    return a->station < b->station;
+  };
+
+  LiveChannel live(spec);
+  channel::Ledger ledger(/*keep_history=*/false, spec);
+  std::map<StationId, const ChainSlot*> current;  // each station's slot
+  util::Rng rng(seed ^ 0x5bd1e995ULL);
+  Tick floor = 0;  // last prune horizon: no query may reach below it
+  int prunes = 0;
+  for (const Tick t : ticks) {
+    auto ending = ends[t];
+    std::sort(ending.begin(), ending.end(), by_station);
+    // Phase A: close.
+    for (const ChainSlot* sl : ending) {
+      if (!sl->transmit) continue;
+      ASSERT_EQ(live.close_tx(sl->station, t),
+                ref.successful(sl->station, sl->begin, t))
+          << "close station " << sl->station << " at " << t;
+    }
+    // Phase B: settle the ended slots, then probe around.
+    for (const ChainSlot* sl : ending) {
+      ASSERT_EQ(live.feedback(sl->begin, t), ref.feedback(sl->begin, t))
+          << "slot [" << sl->begin << "," << t << ")";
+      if (sl->transmit) {
+        ASSERT_EQ(live.transmission_successful(sl->station, t),
+                  ref.successful(sl->station, sl->begin, t));
+      }
+    }
+    for (int q = 0; q < 3 && t > floor; ++q) {
+      const Tick lo = std::max(floor, t - 6 * U);
+      const Tick s =
+          lo + static_cast<Tick>(rng.below(static_cast<std::uint64_t>(t - lo)));
+      const Tick e = s + 1 +
+                     static_cast<Tick>(
+                         rng.below(static_cast<std::uint64_t>(t - s)));
+      ASSERT_EQ(live.feedback(s, e), ref.feedback(s, e))
+          << "probe [" << s << "," << e << ")";
+    }
+    for (const auto& [st, sl] : current) {
+      const bool open = sl->transmit && sl->end > t;
+      ASSERT_EQ(live.has_open(st), open) << "station " << st << " at " << t;
+    }
+    // Phase C: commit the slots beginning at t.
+    auto starting = begins[t];
+    std::sort(starting.begin(), starting.end(), by_station);
+    for (const ChainSlot* sl : starting) {
+      current[sl->station] = sl;
+      if (!sl->transmit) continue;
+      live.begin_tx(sl->station, t, sl->is_control, sl->is_control ? 0 : 1);
+      channel::Transmission tx;
+      tx.station = sl->station;
+      tx.begin = sl->begin;
+      tx.end = sl->end;
+      tx.is_control = sl->is_control;
+      tx.packet = sl->is_control ? 0 : 1;
+      ledger.add(tx);
+      ASSERT_TRUE(live.has_open(sl->station));
+    }
+    ledger.finalize_until(t);
+    const channel::LedgerStats& a = live.stats();
+    const channel::LedgerStats& b = ledger.stats();
+    ASSERT_EQ(a.transmissions, b.transmissions) << "at " << t;
+    ASSERT_EQ(a.successful, b.successful) << "at " << t;
+    ASSERT_EQ(a.collided, b.collided) << "at " << t;
+    ASSERT_EQ(a.control_transmissions, b.control_transmissions);
+    ASSERT_EQ(a.successful_packets, b.successful_packets);
+    ASSERT_EQ(a.successful_packet_time, b.successful_packet_time);
+    ASSERT_EQ(a.successful_control_time, b.successful_control_time);
+    ASSERT_EQ(a.rejected, b.rejected) << "at " << t;
+    ASSERT_EQ(a.jammed, b.jammed) << "at " << t;
+    if (rng.below(5) == 0) {
+      Tick horizon = kTickInfinity;
+      for (const auto& [st, sl] : current)
+        horizon = std::min(horizon, sl->begin);
+      live.prune_before(horizon);
+      ledger.prune_before(horizon);
+      floor = std::max(floor, horizon);
+      ++prunes;
+    }
+  }
+  EXPECT_GT(prunes, 50);
+  EXPECT_GT(live.stats().successful, 0u);
+  EXPECT_GT(live.stats().collided, 0u);
+}
+
+TEST(LiveChannelDifferential, MatchesReferenceInWaveOrderAcrossPrunes) {
+  const channel::RestrainedSpec specs[] = {
+      {}, {1, /*jam=*/true}, {2, /*jam=*/false}};
+  for (const std::uint64_t seed : {3ULL, 11ULL, 2024ULL}) {
+    const auto slots = drifting_chains(seed, 5, 150);
+    for (const channel::RestrainedSpec& spec : specs) {
+      check_wave_order(slots, spec, seed);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

@@ -335,7 +335,8 @@ TEST(RestrainedCheckpoint, ResumeIsByteIdenticalInBothModes) {
               0u);
 
     const std::string path =
-        std::string("restrained_ckpt_") + (jam ? "jam" : "reject") + ".snap";
+        ::testing::TempDir() + "restrained_ckpt_" + (jam ? "jam" : "reject") +
+        ".snap";
     {
       auto engine = snapshot::build_engine(spec);
       sim::StopCondition stop =

@@ -322,7 +322,7 @@ std::vector<std::uint8_t> sample_payload() {
 }
 
 TEST(SnapshotFormat, FileRoundTrip) {
-  const std::string path = "snap_io_roundtrip.snap";
+  const std::string path = testing::TempDir() + "snap_io_roundtrip.snap";
   const auto payload = sample_payload();
   snapshot::write_file(path, FileKind::kEngineRun, payload);
   EXPECT_EQ(snapshot::read_file(path, FileKind::kEngineRun), payload);
@@ -336,7 +336,7 @@ TEST(SnapshotFormat, FailedRenameRemovesStagingFile) {
   // The target is a non-empty directory, so the final rename fails after
   // the staging file was fully written; the throw must not leave it.
   namespace fs = std::filesystem;
-  const fs::path dir = "snap_io_staging";
+  const fs::path dir = testing::TempDir() + "snap_io_staging";
   fs::remove_all(dir);
   fs::create_directories(dir / "target");
   dump((dir / "target" / "occupant").string(), {1});
@@ -353,7 +353,7 @@ TEST(SnapshotFormat, FailedRenameRemovesStagingFile) {
 }
 
 TEST(SnapshotFormat, WrongKindIsMismatch) {
-  const std::string path = "snap_io_kind.snap";
+  const std::string path = testing::TempDir() + "snap_io_kind.snap";
   snapshot::write_file(path, FileKind::kEngineRun, sample_payload());
   expect_kind(ErrorKind::kMismatch,
               [&] { snapshot::read_file(path, FileKind::kCampaignCursor); });
@@ -361,12 +361,13 @@ TEST(SnapshotFormat, WrongKindIsMismatch) {
 
 TEST(SnapshotFormat, MissingFileIsIo) {
   expect_kind(ErrorKind::kIo, [] {
-    snapshot::read_file("snap_io_no_such_file.snap", FileKind::kEngineRun);
+    snapshot::read_file(testing::TempDir() + "snap_io_no_such_file.snap",
+                        FileKind::kEngineRun);
   });
 }
 
 TEST(SnapshotFormat, TruncatedFileIsTruncated) {
-  const std::string path = "snap_io_truncated.snap";
+  const std::string path = testing::TempDir() + "snap_io_truncated.snap";
   snapshot::write_file(path, FileKind::kEngineRun, sample_payload());
   auto bytes = slurp(path);
   ASSERT_GT(bytes.size(), 40u);
@@ -388,7 +389,7 @@ TEST(SnapshotFormat, TruncatedFileIsTruncated) {
 }
 
 TEST(SnapshotFormat, FlippedPayloadOrCrcByteIsBadCrc) {
-  const std::string path = "snap_io_crc.snap";
+  const std::string path = testing::TempDir() + "snap_io_crc.snap";
   snapshot::write_file(path, FileKind::kEngineRun, sample_payload());
   const auto good = slurp(path);
 
@@ -408,7 +409,7 @@ TEST(SnapshotFormat, FlippedPayloadOrCrcByteIsBadCrc) {
 }
 
 TEST(SnapshotFormat, FutureVersionHeaderIsBadVersion) {
-  const std::string path = "snap_io_version.snap";
+  const std::string path = testing::TempDir() + "snap_io_version.snap";
   snapshot::write_file(path, FileKind::kEngineRun, sample_payload());
   auto bytes = slurp(path);
   // Version is the u32 LE at offset 9; pretend a much newer writer.
@@ -422,7 +423,7 @@ TEST(SnapshotFormat, FutureVersionHeaderIsBadVersion) {
 }
 
 TEST(SnapshotFormat, CorruptMagicIsBadMagic) {
-  const std::string path = "snap_io_magic.snap";
+  const std::string path = testing::TempDir() + "snap_io_magic.snap";
   snapshot::write_file(path, FileKind::kEngineRun, sample_payload());
   auto bytes = slurp(path);
   bytes[0] = 'Z';
